@@ -18,7 +18,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use graphbi::{GraphStore, QueryRequest, Session, SharedStore};
+use graphbi::{GraphStore, MvccStore, QueryRequest, Session};
 use graphbi_obs::Histogram;
 use graphbi_serve::{Client, ServeConfig, ServeStore, Server};
 
@@ -52,14 +52,14 @@ impl Run {
 }
 
 fn run_config(
-    store: &SharedStore,
+    store: &Arc<MvccStore>,
     reqs: &Arc<Vec<QueryRequest>>,
     expected: &Arc<Vec<String>>,
     mode: &'static str,
     clients: usize,
     cfg: ServeConfig,
 ) -> Run {
-    let server = Server::start(ServeStore::Shared(store.clone()), "127.0.0.1:0", cfg)
+    let server = Server::start(ServeStore::Mvcc(Arc::clone(store)), "127.0.0.1:0", cfg)
         .expect("server starts");
     let addr = server.addr();
 
@@ -117,7 +117,7 @@ fn run_config(
 pub fn run() -> bool {
     let d = ny(10_000);
     let qs = zipf_queries(&d, 100);
-    let store = SharedStore::new(GraphStore::load(d.universe, &d.records));
+    let store = Arc::new(MvccStore::new_mem(GraphStore::load(d.universe, &d.records)));
     let reqs: Arc<Vec<QueryRequest>> =
         Arc::new(qs.iter().map(|q| QueryRequest::new(q.clone())).collect());
     let expected: Arc<Vec<String>> = Arc::new(
@@ -279,8 +279,7 @@ pub fn run() -> bool {
         Err(e) => eprintln!("could not write {out}: {e}"),
     }
 
-    let identical =
-        runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
+    let identical = runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
     // Under contention the batched server must actually coalesce: the
     // 32-client batched run needs fewer dispatches than requests.
     let coalesced = runs

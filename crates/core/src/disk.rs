@@ -20,18 +20,17 @@ use std::path::Path;
 
 use graphbi_bitmap::Bitmap;
 use graphbi_columnstore::{
-    os_vfs, persist, BitmapRef, ColumnRef, DiskRelation, IoStats, StoreError, Verify, Vfs,
-    VfsHandle,
+    os_vfs, persist, AggViewId, BitmapRef, ColumnRef, DiskRelation, IoStats, StoreError, Verify,
+    Vfs, VfsHandle, ViewId,
 };
 use graphbi_graph::{
-    AggFn, AggState, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryExpr,
-    QueryResult, Universe, UniverseIoError,
+    AggFn, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryResult, Universe,
+    UniverseIoError,
 };
-use graphbi_views::{cover_path, rewrite_query_ranked, PathSegment};
 
-use crate::engine;
-use crate::session::{dedup_requests, QueryRequest, RequestKind, Response, Session, SessionError};
-use crate::viewmgr::{base_kind, compatible, BaseKind};
+use crate::engine::{self, EvalOptions};
+use crate::session::{execute_batch, QueryRequest, Response, Session, SessionError};
+use crate::viewmgr::{base_kind, AggViewDef, GraphViewDef, ViewCatalog};
 use crate::GraphStore;
 
 /// Errors from the disk store.
@@ -189,39 +188,64 @@ pub fn load_store(dir: &Path) -> Result<GraphStore, DiskError> {
 /// [`load_store`] through an injectable [`Vfs`], optionally skipping
 /// payload checksum verification (see [`Verify`]).
 pub fn load_store_with(vfs: &dyn Vfs, dir: &Path, verify: Verify) -> Result<GraphStore, DiskError> {
-    let universe_bytes = persist::read_sidecar(vfs, dir, UNIVERSE_SIDECAR)?;
-    let universe = Universe::parse_text(
-        std::str::from_utf8(&universe_bytes)
-            .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?,
-    )?;
+    let universe = parse_universe(&persist::read_sidecar(vfs, dir, UNIVERSE_SIDECAR)?)?;
     let relation = persist::load_with(vfs, dir, verify)?;
-    let mut store = GraphStore::from_relation_keeping_views(universe, relation);
-    let meta_bytes = persist::read_sidecar(vfs, dir, VIEWS_META_SIDECAR)?;
-    let meta = std::str::from_utf8(&meta_bytes)
-        .map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
-    let mut graph_idx = 0u32;
-    let mut agg_idx = 0u32;
+    let catalog = parse_views_meta(
+        &persist::read_sidecar(vfs, dir, VIEWS_META_SIDECAR)?,
+        relation.view_count(),
+        relation.agg_view_count(),
+    )?;
+    Ok(GraphStore::with_catalog(universe, relation, catalog))
+}
+
+fn parse_universe(bytes: &[u8]) -> Result<Universe, DiskError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?;
+    Ok(Universe::parse_text(text)?)
+}
+
+/// Parses the view-definition sidecar written by [`save_store_with_format`]
+/// into the catalog over the relation's stored view columns: the `i`-th
+/// `g` line defines graph-view column `i`, the `i`-th `a` line
+/// aggregate-view column `i`.
+fn parse_views_meta(
+    bytes: &[u8],
+    graph_columns: usize,
+    agg_columns: usize,
+) -> Result<ViewCatalog, DiskError> {
+    let meta =
+        std::str::from_utf8(bytes).map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
+    let mut catalog = ViewCatalog::default();
     for line in meta.lines().filter(|l| !l.is_empty()) {
         let mut parts = line.split(' ');
         match parts.next() {
             Some("g") => {
-                store.attach_graph_view(parse_edges(parts)?, graph_idx);
-                graph_idx += 1;
+                let id = ViewId(index_u32(catalog.graph_views.len()));
+                let edges = parse_edges(parts)?;
+                catalog.graph_views.push(GraphViewDef { edges, id });
             }
             Some("a") => {
+                let id = AggViewId(index_u32(catalog.agg_views.len()));
                 let func = parse_agg_fn(parts.next())?;
-                store.attach_agg_view(parse_edges(parts)?, func, agg_idx);
-                agg_idx += 1;
+                let edges = parse_edges(parts)?;
+                catalog.agg_views.push(AggViewDef {
+                    edges,
+                    func,
+                    kind: base_kind(func),
+                    id,
+                });
             }
             _ => return Err(DiskError::ViewsMeta("unknown view kind")),
         }
     }
-    if graph_idx as usize != store.relation().view_count()
-        || agg_idx as usize != store.relation().agg_view_count()
-    {
+    if catalog.graph_views.len() != graph_columns || catalog.agg_views.len() != agg_columns {
         return Err(DiskError::ViewsMeta("definition/column count mismatch"));
     }
-    Ok(store)
+    Ok(catalog)
+}
+
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("view count fits u32")
 }
 
 fn parse_agg_fn(token: Option<&str>) -> Result<AggFn, DiskError> {
@@ -235,23 +259,21 @@ fn parse_agg_fn(token: Option<&str>) -> Result<AggFn, DiskError> {
     }
 }
 
-/// A stored graph-view definition (disk side).
-struct DiskGraphView {
-    edges: Vec<EdgeId>,
-}
-
-/// A stored aggregate-view definition (disk side).
-struct DiskAggView {
-    edges: Vec<EdgeId>,
-    kind: BaseKind,
+fn parse_edges<'a, I: Iterator<Item = &'a str>>(parts: I) -> Result<Vec<EdgeId>, DiskError> {
+    parts
+        .map(|p| {
+            p.parse::<u32>()
+                .map(EdgeId)
+                .map_err(|_| DiskError::ViewsMeta("edge id not a number"))
+        })
+        .collect()
 }
 
 /// A read-only, disk-resident graph store.
 pub struct DiskGraphStore {
     universe: Universe,
     relation: DiskRelation,
-    graph_views: Vec<DiskGraphView>,
-    agg_views: Vec<DiskAggView>,
+    catalog: ViewCatalog,
 }
 
 impl DiskGraphStore {
@@ -275,44 +297,16 @@ impl DiskGraphStore {
         verify: Verify,
     ) -> Result<DiskGraphStore, DiskError> {
         let relation = DiskRelation::open_with(dir, cache_bytes, vfs, verify)?;
-        let universe_bytes = relation.sidecar(UNIVERSE_SIDECAR)?;
-        let universe = Universe::parse_text(
-            std::str::from_utf8(&universe_bytes)
-                .map_err(|_| DiskError::ViewsMeta("universe sidecar not utf-8"))?,
+        let universe = parse_universe(&relation.sidecar(UNIVERSE_SIDECAR)?)?;
+        let catalog = parse_views_meta(
+            &relation.sidecar(VIEWS_META_SIDECAR)?,
+            relation.view_count(),
+            relation.agg_view_count(),
         )?;
-        let mut graph_views = Vec::new();
-        let mut agg_views = Vec::new();
-        let meta_bytes = relation.sidecar(VIEWS_META_SIDECAR)?;
-        let meta = std::str::from_utf8(&meta_bytes)
-            .map_err(|_| DiskError::ViewsMeta("views sidecar not utf-8"))?;
-        for line in meta.lines().filter(|l| !l.is_empty()) {
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("g") => {
-                    let edges = parse_edges(parts)?;
-                    graph_views.push(DiskGraphView { edges });
-                }
-                Some("a") => {
-                    let func = parse_agg_fn(parts.next())?;
-                    let edges = parse_edges(parts)?;
-                    agg_views.push(DiskAggView {
-                        edges,
-                        kind: base_kind(func),
-                    });
-                }
-                _ => return Err(DiskError::ViewsMeta("unknown view kind")),
-            }
-        }
-        if graph_views.len() != relation.view_count()
-            || agg_views.len() != relation.agg_view_count()
-        {
-            return Err(DiskError::ViewsMeta("definition/column count mismatch"));
-        }
         Ok(DiskGraphStore {
             universe,
             relation,
-            graph_views,
-            agg_views,
+            catalog,
         })
     }
 
@@ -353,18 +347,28 @@ impl DiskGraphStore {
         query: &GraphQuery,
         stats: &mut IoStats,
     ) -> Result<Bitmap, DiskError> {
-        self.match_records_inner(
-            query,
-            crate::EvalOptions::default(),
-            1,
+        engine::structural(
             &self.direct(),
+            &self.catalog,
+            query,
+            EvalOptions::default(),
+            1,
             stats,
         )
     }
 
     /// Full graph-query evaluation.
     pub fn evaluate(&self, query: &GraphQuery) -> Result<(QueryResult, IoStats), DiskError> {
-        self.evaluate_inner(query, crate::EvalOptions::default(), 1, &self.direct())
+        let mut stats = IoStats::new();
+        let result = engine::evaluate(
+            &self.direct(),
+            &self.catalog,
+            query,
+            EvalOptions::default(),
+            1,
+            &mut stats,
+        )?;
+        Ok((result, stats))
     }
 
     /// Path aggregation, composing stored aggregate views.
@@ -372,7 +376,18 @@ impl DiskGraphStore {
         &self,
         paq: &PathAggQuery,
     ) -> Result<(PathAggResult, IoStats), DiskError> {
-        self.path_aggregate_inner(paq, crate::EvalOptions::default(), 1, &self.direct())
+        let paths = engine::resolve_paths(&self.universe, &paq.query)?;
+        let mut stats = IoStats::new();
+        let result = engine::path_aggregate(
+            &self.direct(),
+            &self.catalog,
+            paq,
+            &paths,
+            EvalOptions::default(),
+            1,
+            &mut stats,
+        )?;
+        Ok((result, stats))
     }
 
     /// Column access with no batch pin map: every fetch goes straight to
@@ -381,360 +396,6 @@ impl DiskGraphStore {
         Cols {
             relation: &self.relation,
             pins: None,
-        }
-    }
-
-    fn match_records_inner(
-        &self,
-        query: &GraphQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-        stats: &mut IoStats,
-    ) -> Result<Bitmap, DiskError> {
-        if query.is_empty() {
-            let mut sp = graphbi_obs::span("phase.plan");
-            sp.attr("estimated_matches", self.relation.record_count());
-            return Ok(Bitmap::from_range(
-                0..u32::try_from(self.relation.record_count()).expect("record count fits u32"),
-            ));
-        }
-        let mut sp = graphbi_obs::span("phase.plan");
-        let before = (stats.bitmap_columns, stats.view_bitmap_columns);
-        // Hold every fetched bitmap handle, then AND through the derefs.
-        let mut refs: Vec<BitmapRef> = Vec::with_capacity(query.len());
-        if !opts.use_views || self.graph_views.is_empty() {
-            for &e in query.edges() {
-                refs.push(cols.edge_bitmap(e, stats)?);
-            }
-            self.relation.note_partitions(query.edges(), stats);
-        } else {
-            let views: Vec<Vec<EdgeId>> =
-                self.graph_views.iter().map(|v| v.edges.clone()).collect();
-            // Coverage ties go to the view with the shortest encoded bitmap
-            // — a cardinality proxy read from the in-memory directory, so
-            // ranking costs no disk read and no counted fetch.
-            let plan = rewrite_query_ranked(query, &views, |vi| {
-                self.relation
-                    .view_bitmap_hint(u32::try_from(vi).expect("view index fits u32"))
-            });
-            for &vi in &plan.views {
-                refs.push(
-                    cols.view_bitmap(u32::try_from(vi).expect("view index fits u32"), stats)?,
-                );
-            }
-            for &e in &plan.residual_edges {
-                refs.push(cols.edge_bitmap(e, stats)?);
-            }
-            if !plan.residual_edges.is_empty() {
-                self.relation.note_partitions(&plan.residual_edges, stats);
-            }
-        }
-        if sp.is_live() {
-            sp.attr("bitmap_columns", stats.bitmap_columns - before.0);
-            sp.attr("view_bitmap_columns", stats.view_bitmap_columns - before.1);
-            // Same estimate the in-memory planner reports: the rarest
-            // operand bounds the intersection.
-            sp.attr(
-                "estimated_matches",
-                refs.iter().map(|r| r.cardinality_hint()).min().unwrap_or(0),
-            );
-        }
-        drop(sp);
-        let raw: Vec<&Bitmap> = refs.iter().map(|r| &**r).collect();
-        Ok(engine::and_many_sharded(
-            &raw,
-            self.relation.record_count(),
-            shards,
-        ))
-    }
-
-    /// Logical combination of graph queries as bitmap algebra — the disk
-    /// counterpart of [`GraphStore::evaluate_expr`], reachable through
-    /// [`Session::execute`] with [`QueryRequest::expr`].
-    fn eval_expr_inner(
-        &self,
-        expr: &QueryExpr,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-        stats: &mut IoStats,
-    ) -> Result<Bitmap, DiskError> {
-        Ok(match expr {
-            QueryExpr::Atom(q) => self.match_records_inner(q, opts, shards, cols, stats)?,
-            QueryExpr::And(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .and(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-            QueryExpr::Or(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .or(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-            QueryExpr::AndNot(a, b) => self
-                .eval_expr_inner(a, opts, shards, cols, stats)?
-                .and_not(&self.eval_expr_inner(b, opts, shards, cols, stats)?),
-        })
-    }
-
-    fn evaluate_inner(
-        &self,
-        query: &GraphQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-    ) -> Result<(QueryResult, IoStats), DiskError> {
-        let mut stats = IoStats::new();
-        let ids = self.match_records_inner(query, opts, shards, cols, &mut stats)?;
-        let edges = query.edges().to_vec();
-        let n = usize::try_from(ids.len()).expect("result fits usize");
-        let w = edges.len();
-        let mut measures = Vec::new();
-        let mut sp = graphbi_obs::span("phase.measure");
-        if n == 0 {
-            // Provably-empty result: the measure fetches (and their pins)
-            // are skipped outright — same counting rule as the in-memory
-            // engine, so the two stores' stats reconcile exactly.
-            stats.fetches_skipped += w as u64;
-            sp.attr("fetches_skipped", w as u64);
-        }
-        if n > 0 && w > 0 {
-            self.relation.note_partitions(&edges, &mut stats);
-            let mut crefs: Vec<ColumnRef> = Vec::with_capacity(w);
-            for &e in &edges {
-                crefs.push(cols.edge_measures(e, &mut stats)?);
-            }
-            stats.values_fetched += (n * w) as u64;
-            if sp.is_live() {
-                sp.attr("measure_columns", w as u64);
-                sp.attr("values_fetched", (n * w) as u64);
-            }
-            let gather_block = |sub: &Bitmap| -> Vec<f64> {
-                let sn = usize::try_from(sub.len()).expect("result fits usize");
-                let mut block = vec![0.0f64; sn * w];
-                for (j, col) in crefs.iter().enumerate() {
-                    // Fused gather-transpose straight into the record-major
-                    // block, no per-column value vector.
-                    let mut i = 0;
-                    col.fold_over(sub, |v| {
-                        block[i * w + j] = v;
-                        i += 1;
-                    });
-                }
-                block
-            };
-            measures = if shards <= 1 {
-                gather_block(&ids)
-            } else {
-                // Disjoint, ordered record ranges: the record-major shard
-                // blocks concatenate into the serial matrix.
-                let ranges = self.relation.shard_ranges(shards);
-                let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
-                    let mut shard_sp = graphbi_obs::span("shard.measure");
-                    shard_sp.attr("shard", s as u64);
-                    gather_block(&ids.slice(ranges[s].clone()))
-                });
-                drop(sp);
-                let mut msp = graphbi_obs::span("phase.merge");
-                msp.attr("parts", blocks.len() as u64);
-                blocks.into_iter().flatten().collect()
-            };
-        }
-        Ok((
-            QueryResult {
-                records: ids.to_vec(),
-                edges,
-                measures,
-            },
-            stats,
-        ))
-    }
-
-    fn path_aggregate_inner(
-        &self,
-        paq: &PathAggQuery,
-        opts: crate::EvalOptions,
-        shards: usize,
-        cols: &Cols<'_>,
-    ) -> Result<(PathAggResult, IoStats), DiskError> {
-        let mut stats = IoStats::new();
-        let paths = paq.query.maximal_paths(&self.universe)?;
-        let ids = self.match_records_inner(&paq.query, opts, shards, cols, &mut stats)?;
-        let n = usize::try_from(ids.len()).expect("result fits usize");
-        let path_count = paths.len();
-
-        // Aggregate views compatible with the query's function.
-        let mut avail_idx = Vec::new();
-        let mut avail_seqs = Vec::new();
-        if opts.use_views {
-            for (i, v) in self.agg_views.iter().enumerate() {
-                if compatible(v.kind, paq.func) {
-                    avail_idx.push(i);
-                    avail_seqs.push(v.edges.clone());
-                }
-            }
-        }
-
-        // One measure source per fetched column, in the order the serial
-        // engine folds them into the per-record state.
-        enum Source {
-            View {
-                count: u64,
-                kind: BaseKind,
-                col: ColumnRef,
-            },
-            Edge(ColumnRef),
-        }
-
-        // Plan phase: resolve every path's sources once, counting every
-        // fetch exactly as the serial engine does.
-        let mut sp = graphbi_obs::span("phase.plan");
-        let before = (
-            stats.measure_columns,
-            stats.agg_view_columns,
-            stats.fetches_skipped,
-        );
-        let mut plans: Vec<Vec<Source>> = Vec::with_capacity(path_count);
-        for path in &paths {
-            let cons: Vec<EdgeId> = path
-                .nodes()
-                .windows(2)
-                .map(|w| {
-                    self.universe
-                        .find_edge(w[0], w[1])
-                        .expect("maximal path edges exist")
-                })
-                .collect();
-            let extras: Vec<EdgeId> = path
-                .elements(&self.universe)?
-                .into_iter()
-                .filter(|e| !cons.contains(e))
-                .collect();
-            let cover = cover_path(&cons, &avail_seqs);
-            if n == 0 {
-                // Nothing matched: skip (and count) every source fetch this
-                // path would have made — mirrors the in-memory engine.
-                stats.fetches_skipped += (cover.segments.len() + extras.len()) as u64;
-                plans.push(Vec::new());
-                continue;
-            }
-            let mut sources: Vec<Source> = Vec::new();
-            for seg in &cover.segments {
-                match *seg {
-                    PathSegment::View { view, .. } => {
-                        let def = &self.agg_views[avail_idx[view]];
-                        sources.push(Source::View {
-                            count: def.edges.len() as u64,
-                            kind: def.kind,
-                            col: cols.agg_view(
-                                u32::try_from(avail_idx[view]).expect("agg index fits u32"),
-                                &mut stats,
-                            )?,
-                        });
-                    }
-                    PathSegment::Edge(e) => {
-                        sources.push(Source::Edge(cols.edge_measures(e, &mut stats)?));
-                    }
-                }
-            }
-            for &e in &extras {
-                sources.push(Source::Edge(cols.edge_measures(e, &mut stats)?));
-            }
-            stats.values_fetched += (n * sources.len()) as u64;
-            plans.push(sources);
-        }
-        if sp.is_live() {
-            sp.attr("measure_columns", stats.measure_columns - before.0);
-            sp.attr("agg_view_columns", stats.agg_view_columns - before.1);
-            sp.attr("fetches_skipped", stats.fetches_skipped - before.2);
-        }
-        drop(sp);
-
-        // Compute phase: per-record folds are independent, so shards over
-        // disjoint record ranges replay the serial operation order exactly.
-        let compute = |sub: &Bitmap| -> Vec<f64> {
-            let sn = usize::try_from(sub.len()).expect("result fits usize");
-            let mut values = vec![f64::NAN; sn * path_count];
-            for (pi, sources) in plans.iter().enumerate() {
-                let mut states = vec![AggState::empty(); sn];
-                for source in sources {
-                    // Fused gather-aggregate: values stream from the pinned
-                    // column straight into the per-record states.
-                    match source {
-                        Source::View { count, kind, col } => {
-                            let mut i = 0;
-                            col.fold_over(sub, |v| {
-                                let mut s = AggState::empty();
-                                s.count = *count;
-                                match kind {
-                                    BaseKind::Sum => s.sum = v,
-                                    BaseKind::Min => s.min = v,
-                                    BaseKind::Max => s.max = v,
-                                }
-                                states[i].merge(&s);
-                                i += 1;
-                            });
-                        }
-                        Source::Edge(col) => {
-                            let mut i = 0;
-                            col.fold_over(sub, |v| {
-                                states[i].push(v);
-                                i += 1;
-                            });
-                        }
-                    }
-                }
-                for (i, s) in states.iter().enumerate() {
-                    values[i * path_count + pi] = s.finalize(paq.func).unwrap_or(f64::NAN);
-                }
-            }
-            values
-        };
-
-        let sp = graphbi_obs::span("phase.measure");
-        let values = if shards <= 1 {
-            compute(&ids)
-        } else {
-            let ranges = self.relation.shard_ranges(shards);
-            let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
-                let mut shard_sp = graphbi_obs::span("shard.measure");
-                shard_sp.attr("shard", s as u64);
-                compute(&ids.slice(ranges[s].clone()))
-            });
-            drop(sp);
-            let mut msp = graphbi_obs::span("phase.merge");
-            msp.attr("parts", blocks.len() as u64);
-            blocks.into_iter().flatten().collect()
-        };
-
-        Ok((
-            PathAggResult {
-                records: ids.to_vec(),
-                path_count,
-                values,
-            },
-            stats,
-        ))
-    }
-
-    fn execute_cols(
-        &self,
-        request: &QueryRequest,
-        cols: &Cols<'_>,
-    ) -> Result<(Response, IoStats), SessionError> {
-        match &request.kind {
-            RequestKind::Graph(q) => {
-                let (r, stats) = self.evaluate_inner(q, request.options, request.shards, cols)?;
-                Ok((Response::Records(r), stats))
-            }
-            RequestKind::Expr(e) => {
-                let mut stats = IoStats::new();
-                let b =
-                    self.eval_expr_inner(e, request.options, request.shards, cols, &mut stats)?;
-                Ok((Response::Matches(b), stats))
-            }
-            RequestKind::Aggregate(p) => {
-                let (r, stats) =
-                    self.path_aggregate_inner(p, request.options, request.shards, cols)?;
-                Ok((Response::Aggregates(r), stats))
-            }
         }
     }
 }
@@ -747,7 +408,7 @@ impl Session for DiskGraphStore {
     }
 
     fn execute(&self, request: &QueryRequest) -> Result<(Response, IoStats), SessionError> {
-        self.execute_cols(request, &self.direct())
+        engine::execute(&self.universe, &self.direct(), &self.catalog, request)
     }
 
     /// Batched evaluation with column-fetch sharing: one pin map holds
@@ -762,27 +423,13 @@ impl Session for DiskGraphStore {
         requests: &[QueryRequest],
     ) -> Result<Vec<(Response, IoStats)>, SessionError> {
         let pins = Pins::default();
-        let (firsts, assign) = dedup_requests(requests);
-        let threads = requests.iter().map(|r| r.shards).max().unwrap_or(1);
-        let distinct = crate::parallel::run_indexed(firsts.len(), threads, |i| {
-            let mut sp = graphbi_obs::span("request");
-            sp.attr("request", firsts[i] as u64);
-            let mut req = requests[firsts[i]].clone();
-            if firsts.len() > 1 {
-                // Workload-level parallelism owns the pool (see the
-                // GraphStore impl); answers are shard-count independent.
-                req.shards = 1;
-            }
-            self.execute_cols(
-                &req,
-                &Cols {
-                    relation: &self.relation,
-                    pins: Some(&pins),
-                },
-            )
-        });
-        let distinct: Vec<(Response, IoStats)> = distinct.into_iter().collect::<Result<_, _>>()?;
-        Ok(assign.iter().map(|&a| distinct[a].clone()).collect())
+        let cols = Cols {
+            relation: &self.relation,
+            pins: Some(&pins),
+        };
+        execute_batch(requests, |req| {
+            engine::execute(&self.universe, &cols, &self.catalog, req)
+        })
     }
 }
 
@@ -791,11 +438,13 @@ impl Session for DiskGraphStore {
 /// and still counts the logical column fetch on the caller's stats.
 #[derive(Default)]
 struct Pins {
-    bitmaps: parking_lot::Mutex<HashMap<u32, BitmapRef>>,
-    views: parking_lot::Mutex<HashMap<u32, BitmapRef>>,
-    measures: parking_lot::Mutex<HashMap<u32, ColumnRef>>,
-    aggs: parking_lot::Mutex<HashMap<u32, ColumnRef>>,
+    bitmaps: PinMap<BitmapRef>,
+    views: PinMap<BitmapRef>,
+    measures: PinMap<ColumnRef>,
+    aggs: PinMap<ColumnRef>,
 }
+
+type PinMap<R> = parking_lot::Mutex<HashMap<u32, R>>;
 
 /// Column access for one evaluation: straight through the relation's LRU
 /// cache, or additionally pinned in a batch-wide map.
@@ -805,77 +454,97 @@ struct Cols<'a> {
 }
 
 impl Cols<'_> {
-    fn edge_bitmap(&self, e: EdgeId, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.edge_bitmap(e, stats)?),
-            Some(p) => {
-                let mut map = p.bitmaps.lock();
-                if let Some(r) = map.get(&e.0) {
-                    stats.bitmap_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.edge_bitmap(e, stats)?;
-                map.insert(e.0, r.clone());
-                Ok(r)
-            }
+    /// Fetches column `key` through `fetch`, or — under a batch — hands
+    /// out the pinned handle from the map `pinned` selects, counting the
+    /// logical fetch on the `counter` the relation would have bumped.
+    fn fetch<R: Clone>(
+        &self,
+        pinned: impl FnOnce(&Pins) -> &PinMap<R>,
+        key: u32,
+        stats: &mut IoStats,
+        counter: fn(&mut IoStats) -> &mut u64,
+        fetch: impl FnOnce(&DiskRelation, &mut IoStats) -> Result<R, StoreError>,
+    ) -> Result<R, DiskError> {
+        let Some(pins) = self.pins else {
+            return Ok(fetch(self.relation, stats)?);
+        };
+        let mut map = pinned(pins).lock();
+        if let Some(r) = map.get(&key) {
+            *counter(stats) += 1;
+            return Ok(r.clone());
         }
-    }
-
-    fn view_bitmap(&self, v: u32, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.view_bitmap(v, stats)?),
-            Some(p) => {
-                let mut map = p.views.lock();
-                if let Some(r) = map.get(&v) {
-                    stats.view_bitmap_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.view_bitmap(v, stats)?;
-                map.insert(v, r.clone());
-                Ok(r)
-            }
-        }
-    }
-
-    fn edge_measures(&self, e: EdgeId, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.edge_measures(e, stats)?),
-            Some(p) => {
-                let mut map = p.measures.lock();
-                if let Some(r) = map.get(&e.0) {
-                    stats.measure_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.edge_measures(e, stats)?;
-                map.insert(e.0, r.clone());
-                Ok(r)
-            }
-        }
-    }
-
-    fn agg_view(&self, a: u32, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
-        match self.pins {
-            None => Ok(self.relation.agg_view(a, stats)?),
-            Some(p) => {
-                let mut map = p.aggs.lock();
-                if let Some(r) = map.get(&a) {
-                    stats.agg_view_columns += 1;
-                    return Ok(r.clone());
-                }
-                let r = self.relation.agg_view(a, stats)?;
-                map.insert(a, r.clone());
-                Ok(r)
-            }
-        }
+        let r = fetch(self.relation, stats)?;
+        map.insert(key, r.clone());
+        Ok(r)
     }
 }
 
-fn parse_edges<'a, I: Iterator<Item = &'a str>>(parts: I) -> Result<Vec<EdgeId>, DiskError> {
-    parts
-        .map(|p| {
-            p.parse::<u32>()
-                .map(EdgeId)
-                .map_err(|_| DiskError::ViewsMeta("edge id not a number"))
-        })
-        .collect()
+impl engine::ColumnSource for Cols<'_> {
+    type Error = DiskError;
+    type Bitmap<'b>
+        = BitmapRef
+    where
+        Self: 'b;
+    type Column<'b>
+        = ColumnRef
+    where
+        Self: 'b;
+
+    fn edge_bitmap(&self, edge: EdgeId, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
+        self.fetch(
+            |p| &p.bitmaps,
+            edge.0,
+            stats,
+            |s| &mut s.bitmap_columns,
+            |r, s| r.edge_bitmap(edge, s),
+        )
+    }
+
+    fn view_bitmap(&self, view: ViewId, stats: &mut IoStats) -> Result<BitmapRef, DiskError> {
+        self.fetch(
+            |p| &p.views,
+            view.0,
+            stats,
+            |s| &mut s.view_bitmap_columns,
+            |r, s| r.view_bitmap(view.0, s),
+        )
+    }
+
+    fn edge_measures(&self, edge: EdgeId, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
+        self.fetch(
+            |p| &p.measures,
+            edge.0,
+            stats,
+            |s| &mut s.measure_columns,
+            |r, s| r.edge_measures(edge, s),
+        )
+    }
+
+    fn agg_view(&self, view: AggViewId, stats: &mut IoStats) -> Result<ColumnRef, DiskError> {
+        self.fetch(
+            |p| &p.aggs,
+            view.0,
+            stats,
+            |s| &mut s.agg_view_columns,
+            |r, s| r.agg_view(view.0, s),
+        )
+    }
+
+    /// Encoded byte length, a cardinality proxy read from the in-memory
+    /// column directory: ranking costs no disk read and no counted fetch.
+    fn view_rank(&self, view: ViewId) -> u64 {
+        self.relation.view_bitmap_hint(view.0)
+    }
+
+    fn note_partitions(&self, edges: &[EdgeId], stats: &mut IoStats) {
+        self.relation.note_partitions(edges, stats);
+    }
+
+    fn partition_of(&self, edge: EdgeId) -> usize {
+        self.relation.partition_of(edge)
+    }
+
+    fn record_count(&self) -> u64 {
+        self.relation.record_count()
+    }
 }

@@ -1,13 +1,23 @@
 //! Query evaluation: structural phase (bitmap algebra) and measure fetch.
+//!
+//! Every phase is written once, generic over a [`ColumnSource`]: the
+//! in-memory [`MasterRelation`] and the disk store's cached columns plan,
+//! fetch and count cost identically, so the two media answer — and
+//! account — every request the same way.
+
+use std::convert::Infallible;
+use std::ops::{Deref, Range};
 
 use graphbi_bitmap::Bitmap;
-use graphbi_columnstore::{IoStats, MasterRelation};
+use graphbi_columnstore::{AggViewId, IoStats, MasterRelation, SparseColumn, ViewId};
 use graphbi_graph::{
-    AggState, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryExpr, Universe,
+    AggState, EdgeId, GraphError, GraphQuery, PathAggQuery, PathAggResult, QueryExpr, QueryResult,
+    Universe,
 };
 use graphbi_views::{cover_path, rewrite_query_ranked, PathSegment};
 
-use crate::viewmgr::ViewCatalog;
+use crate::session::{QueryRequest, RequestKind, Response, SessionError};
+use crate::viewmgr::{AggViewDef, ViewCatalog};
 
 /// Evaluation knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,49 +40,141 @@ impl EvalOptions {
     }
 }
 
+/// The columns a plan reads, whatever medium holds them. Each fetch counts
+/// its logical column on `stats`; a disk source additionally counts the
+/// physical `disk_reads`/`disk_bytes` of cache misses.
+pub(crate) trait ColumnSource: Sync {
+    /// Fetch failure ([`Infallible`] in memory).
+    type Error;
+    /// A fetched bitmap column.
+    type Bitmap<'a>: Deref<Target = Bitmap> + Sync
+    where
+        Self: 'a;
+    /// A fetched measure column.
+    type Column<'a>: Deref<Target = SparseColumn> + Sync
+    where
+        Self: 'a;
+
+    /// The edge bitmap `b_edge`.
+    fn edge_bitmap(
+        &self,
+        edge: EdgeId,
+        stats: &mut IoStats,
+    ) -> Result<Self::Bitmap<'_>, Self::Error>;
+    /// A graph-view bitmap `b_v`.
+    fn view_bitmap(
+        &self,
+        view: ViewId,
+        stats: &mut IoStats,
+    ) -> Result<Self::Bitmap<'_>, Self::Error>;
+    /// The measure column `m_edge`.
+    fn edge_measures(
+        &self,
+        edge: EdgeId,
+        stats: &mut IoStats,
+    ) -> Result<Self::Column<'_>, Self::Error>;
+    /// An aggregate-view column `(m_p, b_p)`.
+    fn agg_view(
+        &self,
+        view: AggViewId,
+        stats: &mut IoStats,
+    ) -> Result<Self::Column<'_>, Self::Error>;
+    /// Tie-break rank of a graph view in the rewrite's set cover, lower =
+    /// more selective; read without a counted fetch.
+    fn view_rank(&self, view: ViewId) -> u64;
+    /// Partition-touch accounting for the edges one phase reads.
+    fn note_partitions(&self, edges: &[EdgeId], stats: &mut IoStats);
+    /// The vertical sub-relation holding `edge`.
+    fn partition_of(&self, edge: EdgeId) -> usize;
+    /// Number of records.
+    fn record_count(&self) -> u64;
+
+    /// The horizontal record ranges of an `shards`-way scan.
+    fn shard_ranges(&self, shards: usize) -> Vec<Range<u32>> {
+        graphbi_columnstore::shard_ranges(self.record_count(), shards)
+    }
+}
+
+impl ColumnSource for MasterRelation {
+    type Error = Infallible;
+    type Bitmap<'a> = &'a Bitmap;
+    type Column<'a> = &'a SparseColumn;
+
+    fn edge_bitmap(&self, edge: EdgeId, stats: &mut IoStats) -> Result<&Bitmap, Infallible> {
+        Ok(MasterRelation::edge_bitmap(self, edge, stats))
+    }
+
+    fn view_bitmap(&self, view: ViewId, stats: &mut IoStats) -> Result<&Bitmap, Infallible> {
+        Ok(MasterRelation::view_bitmap(self, view, stats))
+    }
+
+    fn edge_measures(
+        &self,
+        edge: EdgeId,
+        stats: &mut IoStats,
+    ) -> Result<&SparseColumn, Infallible> {
+        Ok(MasterRelation::edge_measures(self, edge, stats))
+    }
+
+    fn agg_view(&self, view: AggViewId, stats: &mut IoStats) -> Result<&SparseColumn, Infallible> {
+        Ok(MasterRelation::agg_view(self, view, stats))
+    }
+
+    /// Cardinality, peeked from the resident bitmap.
+    fn view_rank(&self, view: ViewId) -> u64 {
+        self.view_bitmap_uncounted(view).cardinality_hint()
+    }
+
+    fn note_partitions(&self, edges: &[EdgeId], stats: &mut IoStats) {
+        MasterRelation::note_partitions(self, edges, stats);
+    }
+
+    fn partition_of(&self, edge: EdgeId) -> usize {
+        MasterRelation::partition_of(self, edge)
+    }
+
+    fn record_count(&self) -> u64 {
+        MasterRelation::record_count(self)
+    }
+}
+
 /// The bitmap columns a structural plan will intersect, fetched (and
 /// cost-accounted) once up front and ordered cheapest-first by
-/// [`Bitmap::cardinality_hint`]. Returning the references separately from
+/// [`Bitmap::cardinality_hint`]. Returning the handles separately from
 /// combining them is what lets the sharded path intersect per record range
 /// without re-counting fetches per shard; the selectivity order keeps the
 /// conjunction accumulator as small as possible from the first AND on.
-pub(crate) fn plan_bitmaps<'a>(
-    relation: &'a MasterRelation,
+pub(crate) fn plan_bitmaps<'s, S: ColumnSource>(
+    src: &'s S,
     catalog: &ViewCatalog,
     query: &GraphQuery,
     opts: EvalOptions,
     stats: &mut IoStats,
-) -> Vec<&'a Bitmap> {
-    let mut bitmaps: Vec<&Bitmap> = if opts.use_views && !catalog.graph_views.is_empty() {
-        // Coverage ties in the set cover go to the most selective view —
-        // ranked by cardinality peeked without a counted fetch.
+) -> Result<Vec<S::Bitmap<'s>>, S::Error> {
+    let mut bitmaps = Vec::with_capacity(query.len());
+    if opts.use_views && !catalog.graph_views.is_empty() {
+        // Coverage ties in the set cover go to the most selective view,
+        // ranked without a counted fetch.
         let plan = rewrite_query_ranked(query, &catalog.graph_view_edges(), |vi| {
-            relation
-                .view_bitmap_uncounted(catalog.graph_views[vi].id)
-                .cardinality_hint()
+            src.view_rank(catalog.graph_views[vi].id)
         });
-        let mut bitmaps: Vec<&Bitmap> = Vec::with_capacity(plan.bitmap_cost());
         for &vi in &plan.views {
-            bitmaps.push(relation.view_bitmap(catalog.graph_views[vi].id, stats));
+            bitmaps.push(src.view_bitmap(catalog.graph_views[vi].id, stats)?);
         }
         for &e in &plan.residual_edges {
-            bitmaps.push(relation.edge_bitmap(e, stats));
+            bitmaps.push(src.edge_bitmap(e, stats)?);
         }
         if !plan.residual_edges.is_empty() {
-            relation.note_partitions(&plan.residual_edges, stats);
+            src.note_partitions(&plan.residual_edges, stats);
         }
-        bitmaps
     } else {
-        let bitmaps: Vec<&Bitmap> = query
-            .edges()
-            .iter()
-            .map(|&e| relation.edge_bitmap(e, stats))
-            .collect();
-        relation.note_partitions(query.edges(), stats);
-        bitmaps
-    };
+        for &e in query.edges() {
+            bitmaps.push(src.edge_bitmap(e, stats)?);
+        }
+        src.note_partitions(query.edges(), stats);
+    }
     bitmaps.sort_by_key(|b| b.cardinality_hint());
-    bitmaps
+    Ok(bitmaps)
 }
 
 /// Intersects the plan's bitmaps, splitting the record space into `shards`
@@ -124,24 +226,24 @@ pub(crate) fn and_many_sharded(bitmaps: &[&Bitmap], record_count: u64, shards: u
 }
 
 /// Structural phase: the bitmap of records containing the query graph.
-pub(crate) fn structural(
-    relation: &MasterRelation,
+pub(crate) fn structural<S: ColumnSource>(
+    src: &S,
     catalog: &ViewCatalog,
     query: &GraphQuery,
     opts: EvalOptions,
     shards: usize,
     stats: &mut IoStats,
-) -> Bitmap {
+) -> Result<Bitmap, S::Error> {
     if query.is_empty() {
         let mut sp = graphbi_obs::span("phase.plan");
-        sp.attr("estimated_matches", relation.record_count());
-        return Bitmap::from_range(
-            0..u32::try_from(relation.record_count()).expect("record count fits u32"),
-        );
+        sp.attr("estimated_matches", src.record_count());
+        return Ok(Bitmap::from_range(
+            0..u32::try_from(src.record_count()).expect("record count fits u32"),
+        ));
     }
     let mut sp = graphbi_obs::span("phase.plan");
     let (base_before, view_before) = (stats.bitmap_columns, stats.view_bitmap_columns);
-    let bitmaps = plan_bitmaps(relation, catalog, query, opts, stats);
+    let bitmaps = plan_bitmaps(src, catalog, query, opts, stats)?;
     if sp.is_live() {
         sp.attr("bitmap_columns", stats.bitmap_columns - base_before);
         sp.attr(
@@ -157,28 +259,47 @@ pub(crate) fn structural(
         );
     }
     drop(sp);
-    and_many_sharded(&bitmaps, relation.record_count(), shards)
+    let bitmaps: Vec<&Bitmap> = bitmaps.iter().map(|b| &**b).collect();
+    Ok(and_many_sharded(&bitmaps, src.record_count(), shards))
 }
 
 /// Evaluates a logical combination of graph queries as bitmap algebra
 /// (§3.2): `AND → ∩`, `OR → ∪`, `AND NOT → −`.
-pub(crate) fn eval_expr(
-    relation: &MasterRelation,
+pub(crate) fn eval_expr<S: ColumnSource>(
+    src: &S,
     catalog: &ViewCatalog,
     expr: &QueryExpr,
     opts: EvalOptions,
     shards: usize,
     stats: &mut IoStats,
-) -> Bitmap {
-    match expr {
-        QueryExpr::Atom(q) => structural(relation, catalog, q, opts, shards, stats),
-        QueryExpr::And(a, b) => eval_expr(relation, catalog, a, opts, shards, stats)
-            .and(&eval_expr(relation, catalog, b, opts, shards, stats)),
-        QueryExpr::Or(a, b) => eval_expr(relation, catalog, a, opts, shards, stats)
-            .or(&eval_expr(relation, catalog, b, opts, shards, stats)),
-        QueryExpr::AndNot(a, b) => eval_expr(relation, catalog, a, opts, shards, stats)
-            .and_not(&eval_expr(relation, catalog, b, opts, shards, stats)),
-    }
+) -> Result<Bitmap, S::Error> {
+    let mut eval = |e: &QueryExpr| eval_expr(src, catalog, e, opts, shards, stats);
+    Ok(match expr {
+        QueryExpr::Atom(q) => structural(src, catalog, q, opts, shards, stats)?,
+        QueryExpr::And(a, b) => eval(a)?.and(&eval(b)?),
+        QueryExpr::Or(a, b) => eval(a)?.or(&eval(b)?),
+        QueryExpr::AndNot(a, b) => eval(a)?.and_not(&eval(b)?),
+    })
+}
+
+/// Graph-query evaluation: matching records plus the measures of the
+/// query's edges (§4.2's SELECT).
+pub(crate) fn evaluate<S: ColumnSource>(
+    src: &S,
+    catalog: &ViewCatalog,
+    query: &GraphQuery,
+    opts: EvalOptions,
+    shards: usize,
+    stats: &mut IoStats,
+) -> Result<QueryResult, S::Error> {
+    let ids = structural(src, catalog, query, opts, shards, stats)?;
+    let edges = query.edges().to_vec();
+    let measures = fetch_measure_matrix(src, &edges, &ids, shards, stats)?;
+    Ok(QueryResult {
+        records: ids.to_vec(),
+        edges,
+        measures,
+    })
 }
 
 /// Measure-fetch phase: the record-major measure matrix of `edges` over the
@@ -188,13 +309,13 @@ pub(crate) fn eval_expr(
 /// sub-relations, the per-partition row groups are stitched back together by
 /// record id — the §6.1 recid join, whose cost [`IoStats::join_rows`]
 /// tracks and Figure 5 measures.
-pub(crate) fn fetch_measure_matrix(
-    relation: &MasterRelation,
+pub(crate) fn fetch_measure_matrix<S: ColumnSource>(
+    src: &S,
     edges: &[EdgeId],
     ids: &Bitmap,
     shards: usize,
     stats: &mut IoStats,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, S::Error> {
     let n = usize::try_from(ids.len()).expect("result fits usize");
     let w = edges.len();
     let mut sp = graphbi_obs::span("phase.measure");
@@ -204,17 +325,17 @@ pub(crate) fn fetch_measure_matrix(
         // `ids` — never the shard split — so serial and sharded runs agree.
         stats.fetches_skipped += w as u64;
         sp.attr("fetches_skipped", w as u64);
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    relation.note_partitions(edges, stats);
+    src.note_partitions(edges, stats);
 
     // Fetch (and cost-account) every column once up front, whatever the
-    // shard count; shard workers only gather from the shared references.
-    let mut cols: Vec<&graphbi_columnstore::SparseColumn> = Vec::with_capacity(w);
+    // shard count; shard workers only gather from the shared handles.
+    let mut cols = Vec::with_capacity(w);
     let mut partitions = std::collections::BTreeSet::new();
     for &e in edges {
-        partitions.insert(relation.partition_of(e));
-        cols.push(relation.edge_measures(e, stats));
+        partitions.insert(src.partition_of(e));
+        cols.push(src.edge_measures(e, stats)?);
     }
     stats.values_fetched += (n * w) as u64;
     if partitions.len() > 1 {
@@ -244,11 +365,11 @@ pub(crate) fn fetch_measure_matrix(
     };
 
     if shards <= 1 {
-        return gather_block(ids);
+        return Ok(gather_block(ids));
     }
     // Record ranges are disjoint and ordered, so concatenating the
     // record-major shard blocks reproduces the serial matrix exactly.
-    let ranges = relation.shard_ranges(shards);
+    let ranges = src.shard_ranges(shards);
     let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
         let mut shard_sp = graphbi_obs::span("shard.measure");
         shard_sp.attr("shard", s as u64);
@@ -261,23 +382,60 @@ pub(crate) fn fetch_measure_matrix(
     for b in blocks {
         out.extend_from_slice(&b);
     }
-    out
+    Ok(out)
+}
+
+/// One maximal path of an aggregation query, resolved to the edges its fold
+/// reads: the consecutive edges in path order, then the path's self-edge
+/// elements.
+pub(crate) struct PathEdges {
+    cons: Vec<EdgeId>,
+    extras: Vec<EdgeId>,
+}
+
+/// Resolves the maximal paths of `query` — the part of path aggregation
+/// that can fail on the query alone (a cyclic pattern), before any column
+/// is read.
+pub(crate) fn resolve_paths(
+    universe: &Universe,
+    query: &GraphQuery,
+) -> Result<Vec<PathEdges>, GraphError> {
+    query
+        .maximal_paths(universe)?
+        .iter()
+        .map(|path| {
+            let cons: Vec<EdgeId> = path
+                .nodes()
+                .windows(2)
+                .map(|w| {
+                    universe
+                        .find_edge(w[0], w[1])
+                        .expect("maximal path edges exist in universe")
+                })
+                .collect();
+            let extras = path
+                .elements(universe)?
+                .into_iter()
+                .filter(|e| !cons.contains(e))
+                .collect();
+            Ok(PathEdges { cons, extras })
+        })
+        .collect()
 }
 
 /// Path-aggregation phase (§3.4): per matching record, applies the query's
-/// function along each maximal path, composing materialized aggregate views
-/// where the tiling finds them.
-pub(crate) fn path_aggregate(
-    universe: &Universe,
-    relation: &MasterRelation,
+/// function along each of its resolved `paths`, composing materialized
+/// aggregate views where the tiling finds them.
+pub(crate) fn path_aggregate<S: ColumnSource>(
+    src: &S,
     catalog: &ViewCatalog,
     paq: &PathAggQuery,
+    paths: &[PathEdges],
     opts: EvalOptions,
     shards: usize,
     stats: &mut IoStats,
-) -> Result<PathAggResult, GraphError> {
-    let paths = paq.query.maximal_paths(universe)?;
-    let ids = structural(relation, catalog, &paq.query, opts, shards, stats);
+) -> Result<PathAggResult, S::Error> {
+    let ids = structural(src, catalog, &paq.query, opts, shards, stats)?;
     let n = usize::try_from(ids.len()).expect("result fits usize");
     let path_count = paths.len();
 
@@ -291,12 +449,9 @@ pub(crate) fn path_aggregate(
     // engine folds them into the per-record state: cover segments first
     // (views merge pre-aggregated states, edges push raw values), then the
     // path's self-edge extras.
-    enum Source<'a> {
-        View {
-            def: &'a crate::viewmgr::AggViewDef,
-            col: &'a graphbi_columnstore::SparseColumn,
-        },
-        Edge(&'a graphbi_columnstore::SparseColumn),
+    enum Source<'a, C> {
+        View { def: &'a AggViewDef, col: C },
+        Edge(C),
     }
 
     // Plan phase: resolve every path's sources once, counting every fetch
@@ -307,26 +462,9 @@ pub(crate) fn path_aggregate(
         stats.agg_view_columns,
         stats.fetches_skipped,
     );
-    let mut plans: Vec<Vec<Source>> = Vec::with_capacity(path_count);
-    for path in &paths {
-        // Consecutive edges in path order; self-edge elements separately.
-        let cons: Vec<EdgeId> = path
-            .nodes()
-            .windows(2)
-            .map(|w| {
-                universe
-                    .find_edge(w[0], w[1])
-                    .expect("maximal path edges exist in universe")
-            })
-            .collect();
-        let all_elements = path.elements(universe)?;
-        let extras: Vec<EdgeId> = all_elements
-            .iter()
-            .copied()
-            .filter(|e| !cons.contains(e))
-            .collect();
-
-        let cover = cover_path(&cons, &avail_seqs);
+    let mut plans: Vec<Vec<Source<S::Column<'_>>>> = Vec::with_capacity(path_count);
+    for PathEdges { cons, extras } in paths {
+        let cover = cover_path(cons, &avail_seqs);
         if n == 0 {
             // No matching record: every source fetch this path would have
             // made is provably useless, so skip (and count) them all. The
@@ -336,7 +474,7 @@ pub(crate) fn path_aggregate(
             plans.push(Vec::new());
             continue;
         }
-        let mut sources: Vec<Source> = Vec::new();
+        let mut sources = Vec::new();
         let mut fetched_base: Vec<EdgeId> = extras.clone();
         for seg in &cover.segments {
             match *seg {
@@ -344,21 +482,21 @@ pub(crate) fn path_aggregate(
                     let def = &catalog.agg_views[avail_idx[view]];
                     sources.push(Source::View {
                         def,
-                        col: relation.agg_view(def.id, stats),
+                        col: src.agg_view(def.id, stats)?,
                     });
                 }
                 PathSegment::Edge(e) => {
-                    sources.push(Source::Edge(relation.edge_measures(e, stats)));
+                    sources.push(Source::Edge(src.edge_measures(e, stats)?));
                     fetched_base.push(e);
                 }
             }
         }
-        for &e in &extras {
-            sources.push(Source::Edge(relation.edge_measures(e, stats)));
+        for &e in extras {
+            sources.push(Source::Edge(src.edge_measures(e, stats)?));
         }
         stats.values_fetched += (n * sources.len()) as u64;
         if !fetched_base.is_empty() {
-            relation.note_partitions(&fetched_base, stats);
+            src.note_partitions(&fetched_base, stats);
         }
         plans.push(sources);
     }
@@ -382,21 +520,16 @@ pub(crate) fn path_aggregate(
                 // Fused gather-aggregate: measure values stream from the
                 // column straight into the per-record aggregate states, with
                 // no intermediate value vector.
+                let mut i = 0;
                 match source {
-                    Source::View { def, col } => {
-                        let mut i = 0;
-                        col.fold_over(sub, |v| {
-                            states[i].merge(&def.state_of(v));
-                            i += 1;
-                        });
-                    }
-                    Source::Edge(col) => {
-                        let mut i = 0;
-                        col.fold_over(sub, |v| {
-                            states[i].push(v);
-                            i += 1;
-                        });
-                    }
+                    Source::View { def, col } => col.fold_over(sub, |v| {
+                        states[i].merge(&def.state_of(v));
+                        i += 1;
+                    }),
+                    Source::Edge(col) => col.fold_over(sub, |v| {
+                        states[i].push(v);
+                        i += 1;
+                    }),
                 }
             }
             for (i, s) in states.iter().enumerate() {
@@ -414,7 +547,7 @@ pub(crate) fn path_aggregate(
     } else {
         // Record-major blocks over disjoint, ordered record ranges
         // concatenate into the full matrix.
-        let ranges = relation.shard_ranges(shards);
+        let ranges = src.shard_ranges(shards);
         let blocks = crate::parallel::run_indexed(ranges.len(), shards, |s| {
             let mut shard_sp = graphbi_obs::span("shard.measure");
             shard_sp.attr("shard", s as u64);
@@ -435,4 +568,34 @@ pub(crate) fn path_aggregate(
         path_count,
         values,
     })
+}
+
+/// Answers one request from `src` — the executor behind every backend's
+/// [`crate::Session::execute`].
+pub(crate) fn execute<S: ColumnSource>(
+    universe: &Universe,
+    src: &S,
+    catalog: &ViewCatalog,
+    request: &QueryRequest,
+) -> Result<(Response, IoStats), SessionError>
+where
+    SessionError: From<S::Error>,
+{
+    let (opts, shards) = (request.options, request.shards);
+    let mut stats = IoStats::new();
+    let response = match &request.kind {
+        RequestKind::Graph(q) => {
+            Response::Records(evaluate(src, catalog, q, opts, shards, &mut stats)?)
+        }
+        RequestKind::Expr(e) => {
+            Response::Matches(eval_expr(src, catalog, e, opts, shards, &mut stats)?)
+        }
+        RequestKind::Aggregate(p) => {
+            let paths = resolve_paths(universe, &p.query)?;
+            Response::Aggregates(path_aggregate(
+                src, catalog, p, &paths, opts, shards, &mut stats,
+            )?)
+        }
+    };
+    Ok((response, stats))
 }

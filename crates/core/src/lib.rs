@@ -61,7 +61,6 @@ pub mod mvcc;
 pub mod parallel;
 pub mod ql;
 mod session;
-mod shared;
 mod statistics;
 mod store;
 mod topk;
@@ -74,7 +73,6 @@ pub use explain::{PhaseStat, Plan, Profile, PHASE_NAMES};
 pub use groups::GroupIndex;
 pub use mvcc::{MvccStore, Snapshot};
 pub use session::{QueryRequest, RequestKind, Response, Session, SessionError};
-pub use shared::{SharedSnapshot, SharedStore};
 pub use statistics::{EdgeSelectivity, StoreStatistics};
 pub use store::GraphStore;
 pub use topk::RankedRecord;

@@ -1,9 +1,8 @@
 //! The unified query API: one request type, one trait, every backend.
 //!
 //! Evaluation used to sprawl into `evaluate`/`evaluate_with`,
-//! `path_aggregate`/`path_aggregate_with`, … pairs duplicated across
-//! [`crate::GraphStore`], [`crate::disk::DiskGraphStore`] and
-//! [`crate::SharedStore`]. A [`QueryRequest`] folds the three knobs — the
+//! `path_aggregate`/`path_aggregate_with`, … pairs duplicated across the
+//! backends. A [`QueryRequest`] folds the three knobs — the
 //! query itself, the [`EvalOptions`] plan mode and the record-shard count —
 //! into one builder, and the [`Session`] trait is the single entry point
 //! every backend implements:
@@ -29,8 +28,8 @@
 //!
 //! Batched workloads go through [`Session::evaluate_many`], which backends
 //! override to share work across the batch (duplicate-request elimination on
-//! the in-memory store, shared column fetches on the disk store, a single
-//! read-lock snapshot on [`crate::SharedStore`]).
+//! both stores, shared column fetches on the disk store, one pinned epoch
+//! on an MVCC [`crate::Snapshot`]).
 
 use graphbi_bitmap::Bitmap;
 use graphbi_columnstore::IoStats;
@@ -203,11 +202,18 @@ impl From<DiskError> for SessionError {
     }
 }
 
+impl From<std::convert::Infallible> for SessionError {
+    fn from(e: std::convert::Infallible) -> Self {
+        match e {}
+    }
+}
+
 /// A backend that answers [`QueryRequest`]s.
 ///
 /// Implemented by [`crate::GraphStore`] (in-memory),
-/// [`crate::disk::DiskGraphStore`] (disk-resident) and
-/// [`crate::SharedStore`] (concurrent). Every implementation returns the
+/// [`crate::disk::DiskGraphStore`] (disk-resident) and the MVCC
+/// [`crate::MvccStore`] / [`crate::Snapshot`] (concurrent, read-write).
+/// Every implementation returns the
 /// same answers for the same database — the differential test matrix in
 /// `graphbi-testkit` drives them all through this trait.
 pub trait Session {
@@ -237,6 +243,33 @@ pub trait Session {
     fn profile(&self, request: &QueryRequest) -> Result<(Response, crate::Profile), SessionError> {
         crate::explain::profile_request(self, "session", None, request)
     }
+}
+
+/// Batched evaluation shared by the stores: duplicate requests (common
+/// under Zipf-skewed workloads) are answered once by `execute`, and the
+/// distinct requests run on a worker pool sized by the batch's largest
+/// shard knob. Each duplicate reports the stats of its first occurrence —
+/// the batch's summed cost reflects the work actually done.
+pub(crate) fn execute_batch(
+    requests: &[QueryRequest],
+    execute: impl Fn(&QueryRequest) -> Result<(Response, IoStats), SessionError> + Sync,
+) -> Result<Vec<(Response, IoStats)>, SessionError> {
+    let (firsts, assign) = dedup_requests(requests);
+    let threads = requests.iter().map(|r| r.shards).max().unwrap_or(1);
+    let distinct = crate::parallel::run_indexed(firsts.len(), threads, |i| {
+        let mut sp = graphbi_obs::span("request");
+        sp.attr("request", firsts[i] as u64);
+        let mut req = requests[firsts[i]].clone();
+        if firsts.len() > 1 {
+            // Workload-level parallelism owns the pool; nested per-request
+            // sharding would oversubscribe it. Answers and stats are
+            // shard-count independent, so this is pure scheduling.
+            req.shards = 1;
+        }
+        execute(&req)
+    });
+    let distinct: Vec<(Response, IoStats)> = distinct.into_iter().collect::<Result<_, _>>()?;
+    Ok(assign.iter().map(|&a| distinct[a].clone()).collect())
 }
 
 /// Deduplicated batch order: returns `(firsts, assign)` where `firsts`

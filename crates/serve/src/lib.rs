@@ -19,9 +19,12 @@
 //!   local QL compilation.
 //!
 //! ```no_run
+//! use std::sync::Arc;
+//! use graphbi::{GraphStore, MvccStore};
 //! use graphbi_serve::{Client, ServeConfig, ServeStore, Server};
-//! # fn demo(store: graphbi::SharedStore) -> Result<(), Box<dyn std::error::Error>> {
-//! let server = Server::start(ServeStore::Shared(store), "127.0.0.1:0", ServeConfig::default())?;
+//! # fn demo(store: GraphStore) -> Result<(), Box<dyn std::error::Error>> {
+//! let store = ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store)));
+//! let server = Server::start(store, "127.0.0.1:0", ServeConfig::default())?;
 //! let mut client = Client::connect(server.addr())?;
 //! let answer = client.query_ql("[A,B,C]")?;
 //! # drop(answer);

@@ -47,17 +47,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphbi::{
-    Coded, ErrorCode, MvccStore, Profile, QueryRequest, Response, Session, SessionError,
-    SharedStore, Snapshot,
+    Coded, ErrorCode, MvccStore, Profile, QueryRequest, Response, Session, SessionError, Snapshot,
 };
 use graphbi_columnstore::{DeltaOp, IoStats};
 use graphbi_obs::{json, Counter, Histogram};
 
 use crate::protocol::{self, Verb, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use crate::queue::{AdmissionQueue, OfferError};
-use crate::recorder::{
-    synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport,
-};
+use crate::recorder::{synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport};
 
 /// `SLOWLOG` entry count when the client does not ask for one.
 const DEFAULT_SLOWLOG: usize = 16;
@@ -152,90 +149,44 @@ impl ServeConfig {
     }
 }
 
-/// The store a server fronts: lock-shared or MVCC.
+/// The store a server fronts. Sessions pin `(generation, epoch)`
+/// snapshots of it; commits go through its MVCC delta (and, on a
+/// disk-backed store, its WAL).
 #[derive(Clone)]
 pub enum ServeStore {
-    /// Reader-writer lock over one [`graphbi::GraphStore`]; sessions pin
-    /// nothing (every query sees the latest state).
-    Shared(SharedStore),
     /// MVCC store; sessions pin `(generation, epoch)` snapshots.
     Mvcc(Arc<MvccStore>),
 }
 
 /// A connection's pinned execution state.
-#[derive(Clone)]
-enum Pinned {
-    Shared(SharedStore),
-    Mvcc(Arc<Snapshot>),
-}
+type Pinned = Arc<Snapshot>;
 
-impl Pinned {
-    /// Jobs coalesce only within one key: the pinned `(generation,
-    /// epoch)`. Shared stores have a single timeline, so every job
-    /// shares key `(0, 0)` — `SharedStore::evaluate_many` still answers
-    /// the whole batch under one read lock.
-    fn batch_key(&self) -> (u64, u64) {
-        match self {
-            Pinned::Shared(_) => (0, 0),
-            Pinned::Mvcc(s) => (s.generation(), s.epoch()),
-        }
-    }
-
-    fn info(&self) -> (u64, u64) {
-        self.batch_key()
-    }
-
-    fn execute(&self, request: &QueryRequest) -> Result<(Response, IoStats), SessionError> {
-        match self {
-            Pinned::Shared(s) => s.execute(request),
-            Pinned::Mvcc(s) => s.execute(request),
-        }
-    }
-
-    fn evaluate_many(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<(Response, IoStats)>, SessionError> {
-        match self {
-            Pinned::Shared(s) => s.evaluate_many(requests),
-            Pinned::Mvcc(s) => s.evaluate_many(requests),
-        }
-    }
-
-    fn profile(
-        &self,
-        request: &QueryRequest,
-    ) -> Result<(Response, graphbi::Profile), SessionError> {
-        match self {
-            Pinned::Shared(s) => s.profile(request),
-            Pinned::Mvcc(s) => s.profile(request),
-        }
-    }
+/// The `(generation, epoch)` a snapshot answers as of. Jobs coalesce into
+/// one batch only under the same position, so a batch never mixes two
+/// points in time.
+fn position(pinned: &Snapshot) -> (u64, u64) {
+    (pinned.generation(), pinned.epoch())
 }
 
 impl ServeStore {
+    fn mvcc(&self) -> &MvccStore {
+        let ServeStore::Mvcc(m) = self;
+        m
+    }
+
     fn pin(&self) -> Pinned {
-        match self {
-            ServeStore::Shared(s) => Pinned::Shared(s.clone()),
-            ServeStore::Mvcc(m) => Pinned::Mvcc(Arc::new(m.snapshot())),
-        }
+        Arc::new(self.mvcc().snapshot())
     }
 
     fn universe_text(&self) -> String {
-        match self {
-            ServeStore::Shared(s) => s.read(|g| g.universe().to_text()),
-            ServeStore::Mvcc(m) => m.snapshot().universe().to_text(),
-        }
+        self.mvcc().snapshot().universe().to_text()
     }
 
     fn edge_count(&self) -> usize {
-        match self {
-            ServeStore::Shared(s) => s.read(|g| g.universe().edge_count()),
-            ServeStore::Mvcc(m) => m.snapshot().universe().edge_count(),
-        }
+        self.mvcc().snapshot().universe().edge_count()
     }
 
-    /// Applies a commit atomically (one write lock / one MVCC commit).
+    /// Applies a commit atomically (one MVCC commit).
     fn commit(&self, ops: &[DeltaOp]) -> Result<(), (ErrorCode, String)> {
         let edges = self.edge_count() as u32;
         for op in ops {
@@ -250,27 +201,9 @@ impl ServeStore {
                 ));
             }
         }
-        match self {
-            ServeStore::Shared(s) => {
-                if ops.iter().any(|op| matches!(op, DeltaOp::Update(..))) {
-                    return Err((
-                        ErrorCode::Unsupported,
-                        "update ops need an MVCC store (serve --mvcc)".into(),
-                    ));
-                }
-                s.write(|g| {
-                    for op in ops {
-                        if let DeltaOp::Insert(rec) = op {
-                            g.append_record(rec);
-                        }
-                    }
-                });
-                Ok(())
-            }
-            ServeStore::Mvcc(m) => match m.commit(ops) {
-                Ok(_epoch) => Ok(()),
-                Err(e) => Err((e.code(), e.to_string())),
-            },
+        match self.mvcc().commit(ops) {
+            Ok(_epoch) => Ok(()),
+            Err(e) => Err((e.code(), e.to_string())),
         }
     }
 }
@@ -634,7 +567,7 @@ fn record_failure(
     code: ErrorCode,
     message: &str,
 ) {
-    let (generation, epoch) = pinned.info();
+    let (generation, epoch) = position(pinned);
     let total_ns = dur_ns(started.elapsed());
     ctx.recorder.observe(
         RequestTrace {
@@ -671,7 +604,15 @@ fn refuse(
     match refusal {
         Refusal::Busy(msg) => {
             record_failure(
-                ctx, rid, cid, verb, request, pinned, started, ErrorCode::Busy, &msg,
+                ctx,
+                rid,
+                cid,
+                verb,
+                request,
+                pinned,
+                started,
+                ErrorCode::Busy,
+                &msg,
             );
             writeln!(writer, "{}", protocol::render_busy(&msg))
         }
@@ -692,10 +633,7 @@ fn render_top(ctx: &Ctx) -> String {
     let g = |name: &str| snap.gauges.get(name).copied().unwrap_or(0);
     let empty = graphbi_obs::HistSnapshot::default();
     let h = |name: &str| snap.histograms.get(name).unwrap_or(&empty);
-    let (generation, epoch) = match &ctx.store {
-        ServeStore::Shared(_) => (0, 0),
-        ServeStore::Mvcc(m) => (m.generation(), m.epoch()),
-    };
+    let (generation, epoch) = (ctx.store.mvcc().generation(), ctx.store.mvcc().epoch());
     let (decided, captured, overwritten, slow, export_errors) = ctx.recorder.stats();
     let mut out = String::from("{");
     let _ = write!(
@@ -844,7 +782,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
         }
     }
     let mut pinned = ctx.store.pin();
-    let (gen, epoch) = pinned.info();
+    let (gen, epoch) = position(&pinned);
     let hello_rid = ctx.recorder.next_rid();
     write!(
         writer,
@@ -925,7 +863,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                         match dispatch(ctx, &pinned, vec![req], sampled) {
                             Ok(mut outcomes) => {
                                 let out = outcomes.pop().expect("one request, one outcome");
-                                let (gen, epoch) = pinned.info();
+                                let (gen, epoch) = position(&pinned);
                                 write!(
                                     writer,
                                     "OK generation={gen} epoch={epoch} lines={} id={rid}\n{}",
@@ -1029,7 +967,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                             Ok(outcomes) => {
                                 let lines: usize =
                                     outcomes.iter().map(|o| o.response.line_count()).sum();
-                                let (gen, epoch) = pinned.info();
+                                let (gen, epoch) = position(&pinned);
                                 writeln!(
                                     writer,
                                     "OK count={k} generation={gen} epoch={epoch} lines={lines} id={rid}"
@@ -1146,7 +1084,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 ctx.metrics.commits.inc();
                                 // Read-your-writes: re-pin past our own commit.
                                 pinned = ctx.store.pin();
-                                let (gen, epoch) = pinned.info();
+                                let (gen, epoch) = position(&pinned);
                                 writeln!(
                                     writer,
                                     "OK generation={gen} epoch={epoch} lines=0 id={rid}"
@@ -1212,7 +1150,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                         Ok((_, prof)) => {
                             writeln!(writer, "OK lines=1 id={rid}")?;
                             writeln!(writer, "{}", prof.render_json())?;
-                            let (gen, epoch) = pinned.info();
+                            let (gen, epoch) = position(&pinned);
                             let total_ns = dur_ns(started.elapsed());
                             // A profiled request is always captured: the
                             // stored Profile is the exact object whose JSON
@@ -1238,7 +1176,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                         }
                     },
                 }
-                ctx.metrics.verb_profile_us.record(dur_us(started.elapsed()));
+                ctx.metrics
+                    .verb_profile_us
+                    .record(dur_us(started.elapsed()));
             }
             Verb::Metrics => {
                 let text = graphbi_obs::global().snapshot().render_text();
@@ -1274,7 +1214,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
             Verb::Refresh => {
                 pinned = ctx.store.pin();
-                let (gen, epoch) = pinned.info();
+                let (gen, epoch) = position(&pinned);
                 writeln!(writer, "OK generation={gen} epoch={epoch} lines=0 id={rid}")?;
             }
             Verb::Quit => {
@@ -1302,7 +1242,7 @@ fn batcher_loop(ctx: &Arc<Ctx>) {
     // Sampled jobs never coalesce: each runs solo through the profiler so
     // its captured trace is exact, not an estimate of its share of a run.
     while let Some(batch) = ctx.queue.take_batch(ctx.cfg.batch_max, |a, b| {
-        a.pinned.batch_key() == b.pinned.batch_key() && !a.sampled && !b.sampled
+        position(&a.pinned) == position(&b.pinned) && !a.sampled && !b.sampled
     }) {
         depth_gauge.set(ctx.queue.len() as i64);
         if !ctx.cfg.batch_delay.is_zero() {
@@ -1354,15 +1294,16 @@ fn batcher_loop(ctx: &Arc<Ctx>) {
             }
             Err(_) => {
                 for (job, wait_ns) in batch.into_iter().zip(waits) {
-                    let result = job.pinned.execute(&job.request).map(|(response, io)| {
-                        JobOutcome {
-                            response,
-                            io,
-                            wait_ns,
-                            batch: 1,
-                            profile: None,
-                        }
-                    });
+                    let result =
+                        job.pinned
+                            .execute(&job.request)
+                            .map(|(response, io)| JobOutcome {
+                                response,
+                                io,
+                                wait_ns,
+                                batch: 1,
+                                profile: None,
+                            });
                     let _ = job.reply.send((job.index, result));
                 }
             }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphbi::{GraphStore, MvccStore, QueryRequest, Session, SharedStore};
+use graphbi::{GraphStore, MvccStore, QueryRequest, Session};
 use graphbi_columnstore::{DeltaOp, Vfs as _};
 use graphbi_serve::{Client, ClientError, ServeConfig, ServeStore, Server};
 use graphbi_testkit::Scenario;
@@ -41,12 +41,12 @@ fn mixed_protocol_session_matches_in_process() {
     let scenario = Scenario::generate(7);
     let mut store = GraphStore::load(scenario.universe.clone(), &scenario.records);
     store.advise_views(&scenario.queries, scenario.view_budget);
-    let shared = SharedStore::new(store);
+    let mvcc = Arc::new(MvccStore::new_mem(store));
     let reqs = workload(&scenario);
-    let expected = expected_texts(&shared, &reqs);
+    let expected = expected_texts(mvcc.as_ref(), &reqs);
 
     let server = Server::start(
-        ServeStore::Shared(shared.clone()),
+        ServeStore::Mvcc(Arc::clone(&mvcc)),
         "127.0.0.1:0",
         ServeConfig {
             trace: true,
@@ -84,14 +84,14 @@ fn mixed_protocol_session_matches_in_process() {
     assert!(prof.starts_with('{') && prof.ends_with('}'), "{prof:?}");
 
     // Commit through the wire, then re-query: the inserted record is
-    // visible (shared backend has one timeline; COMMIT re-pins anyway).
-    let before = shared.read(|s| s.record_count());
+    // visible (COMMIT re-pins the committing session: read-your-writes).
+    let before = mvcc.record_count();
     let rec = scenario.records[0].clone();
     client
         .commit(&[DeltaOp::Insert(rec)])
         .expect("commit insert");
-    assert_eq!(shared.read(|s| s.record_count()), before + 1);
-    let fresh = expected_texts(&shared, &reqs[..1]);
+    assert_eq!(mvcc.record_count(), before + 1);
+    let fresh = expected_texts(mvcc.as_ref(), &reqs[..1]);
     assert_eq!(
         client.query(&reqs[0]).expect("post-commit query").to_text(),
         fresh[0]
@@ -142,7 +142,7 @@ fn hello_version_mismatch_is_refused() {
     let scenario = Scenario::generate(11);
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records[..4]);
     let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store))),
         "127.0.0.1:0",
         ServeConfig::default(),
     )
@@ -259,7 +259,7 @@ fn overload_answers_typed_busy_within_timeout() {
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records);
     let admission_timeout = Duration::from_millis(25);
     let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store))),
         "127.0.0.1:0",
         ServeConfig {
             queue_depth: 1,
@@ -321,76 +321,20 @@ fn overload_answers_typed_busy_within_timeout() {
     assert!(metrics.contains("graphbi_serve_busy_total"), "{metrics}");
 }
 
-/// Cross-connection coalescing: many idle-then-simultaneous clients on
-/// one shared store must land in shared batches, visible in the
-/// counters, with answers still bit-identical.
-#[test]
-fn concurrent_connections_share_batches() {
-    let scenario = Scenario::generate(41);
-    let store = GraphStore::load(scenario.universe.clone(), &scenario.records);
-    let shared = SharedStore::new(store);
-    let reqs = workload(&scenario);
-    let expected = expected_texts(&shared, &reqs);
-
-    let server = Server::start(
-        ServeStore::Shared(shared),
-        "127.0.0.1:0",
-        ServeConfig {
-            // A small stall per batch lets concurrent arrivals pile up
-            // behind the first, forcing multi-request batches.
-            batch_delay: Duration::from_millis(3),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server starts");
-    let addr = server.addr();
-
-    let reg = graphbi_obs::global();
-    let batches_before = reg.counter("graphbi_serve_batches_total").get();
-    let requests_before = reg.counter("graphbi_serve_batched_requests_total").get();
-
-    let threads: Vec<_> = (0..6)
-        .map(|t| {
-            let reqs = reqs.clone();
-            let expected = expected.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for round in 0..4 {
-                    let i = (t + round) % reqs.len();
-                    let got = client.query(&reqs[i]).expect("query");
-                    assert_eq!(got.to_text(), expected[i]);
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("client thread");
-    }
-
-    let batches = reg.counter("graphbi_serve_batches_total").get() - batches_before;
-    let served = reg.counter("graphbi_serve_batched_requests_total").get() - requests_before;
-    assert_eq!(served, 24, "every request went through the batcher");
-    assert!(
-        batches < served,
-        "expected some multi-request batches, got {batches} batches for {served} requests"
-    );
-}
-
 /// `TRACE` must replay a `PROFILE`'s rendering bit-identically — the
 /// stored trace is the same `Profile` object whose JSON went on the wire
-/// — on both the shared-memory and the disk-backed MVCC store. Sampled
+/// — on both the in-memory and the disk-backed MVCC store. Sampled
 /// queries (solo-profiled by the batcher) must not change any answer.
 #[test]
 fn trace_replays_profile_bit_identically_on_mem_and_disk() {
     let scenario = Scenario::generate(13);
     let load = || GraphStore::load(scenario.universe.clone(), &scenario.records);
     let reqs = workload(&scenario);
-    let expected = expected_texts(&SharedStore::new(load()), &reqs);
+    let expected = expected_texts(&load(), &reqs);
 
     let disk_vfs = Arc::new(graphbi_columnstore::FaultVfs::new(0x71e7));
     let disk_dir = std::path::PathBuf::from("/flightdb");
-    graphbi::disk::save_store_with(disk_vfs.as_ref(), &load(), &disk_dir)
-        .expect("save disk store");
+    graphbi::disk::save_store_with(disk_vfs.as_ref(), &load(), &disk_dir).expect("save disk store");
     let disk = graphbi::MvccStore::open_disk(
         &disk_dir,
         16 << 20,
@@ -400,7 +344,10 @@ fn trace_replays_profile_bit_identically_on_mem_and_disk() {
     .expect("open disk store");
 
     let backends = [
-        ("mem", ServeStore::Shared(SharedStore::new(load()))),
+        (
+            "mem",
+            ServeStore::Mvcc(Arc::new(MvccStore::new_mem(load()))),
+        ),
         ("disk", ServeStore::Mvcc(Arc::new(disk))),
     ];
     for (label, serve_store) in backends {
@@ -461,7 +408,7 @@ fn slowlog_forces_capture_and_exports_framed_json() {
     let export_path = std::path::PathBuf::from("/slowlog.jsonl");
 
     let server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store))),
         "127.0.0.1:0",
         ServeConfig {
             // Head sampling off; a zero threshold makes every request
@@ -499,7 +446,10 @@ fn slowlog_forces_capture_and_exports_framed_json() {
 
     // SLOWLOG: one JSON entry per request, newest first, rids descending.
     let entries = client.slowlog(Some(16)).expect("slowlog");
-    assert!(entries.len() >= 3, "expected ≥3 slow entries, got {entries:?}");
+    assert!(
+        entries.len() >= 3,
+        "expected ≥3 slow entries, got {entries:?}"
+    );
     let mut last_rid = u64::MAX;
     for line in &entries {
         let doc = graphbi_obs::json::parse(line).expect("slowlog entry JSON");
@@ -513,12 +463,10 @@ fn slowlog_forces_capture_and_exports_framed_json() {
     }
     // The client correlation id rode into the failing request's entry.
     assert!(
-        entries
-            .iter()
-            .any(|l| graphbi_obs::json::parse(l)
-                .ok()
-                .and_then(|d| d.get("id").and_then(graphbi_obs::json::Json::as_u64))
-                == Some(42)),
+        entries.iter().any(|l| graphbi_obs::json::parse(l)
+            .ok()
+            .and_then(|d| d.get("id").and_then(graphbi_obs::json::Json::as_u64))
+            == Some(42)),
         "correlation id missing from {entries:?}"
     );
 
@@ -556,9 +504,13 @@ fn slowlog_forces_capture_and_exports_framed_json() {
         .get("slow")
         .and_then(graphbi_obs::json::Json::as_u64)
         .expect("recorder.slow");
-    assert!(slow >= entries.len() as u64, "TOP undercounts slow captures");
+    assert!(
+        slow >= entries.len() as u64,
+        "TOP undercounts slow captures"
+    );
     assert_eq!(
-        rec.get("sample_every").and_then(graphbi_obs::json::Json::as_u64),
+        rec.get("sample_every")
+            .and_then(graphbi_obs::json::Json::as_u64),
         Some(0)
     );
     client.quit().expect("quit");
@@ -571,7 +523,7 @@ fn shutdown_is_orderly() {
     let scenario = Scenario::generate(5);
     let store = GraphStore::load(scenario.universe.clone(), &scenario.records[..8]);
     let mut server = Server::start(
-        ServeStore::Shared(SharedStore::new(store)),
+        ServeStore::Mvcc(Arc::new(MvccStore::new_mem(store))),
         "127.0.0.1:0",
         ServeConfig::default(),
     )

@@ -1,7 +1,7 @@
 //! The differential oracle: one scenario, every engine configuration,
 //! every check.
 
-use graphbi::{QueryRequest, Response, Session};
+use graphbi::{IoStats, QueryRequest, Response, Session};
 
 use crate::engines::{Fault, Matrix};
 use crate::reference::Reference;
@@ -93,6 +93,13 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
             });
         }
 
+        media_stats_agree(
+            &matrix,
+            QueryRequest::new(q.clone()),
+            format!("query[{qi}] {q:?}"),
+            &mut report,
+        );
+
         // Invariant: every logical cost counter — including the planner's
         // skipped-fetch count — is shard-count independent. Only the
         // physical `disk_reads`/`disk_bytes` may differ between runs (they
@@ -126,12 +133,7 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
             ),
         ] {
             report.checks += 1;
-            let mask = |mut s: graphbi::IoStats| {
-                s.disk_reads = 0;
-                s.disk_bytes = 0;
-                s
-            };
-            let (serial, sharded) = (mask(serial), mask(sharded));
+            let (serial, sharded) = (logical(serial), logical(sharded));
             if serial != sharded {
                 report.discrepancies.push(Discrepancy {
                     engine: backend.into(),
@@ -194,12 +196,7 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
                 });
             }
             report.checks += 1;
-            let mask = |mut s: graphbi::IoStats| {
-                s.disk_reads = 0;
-                s.disk_bytes = 0;
-                s
-            };
-            let (masked_traced, masked_plain) = (mask(traced_stats), mask(plain_stats));
+            let (masked_traced, masked_plain) = (logical(traced_stats), logical(plain_stats));
             if masked_traced != masked_plain {
                 report.discrepancies.push(Discrepancy {
                     engine: backend.into(),
@@ -233,6 +230,12 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
 
     // Logical expressions: match sets against the model's set algebra.
     for (ei, e) in scenario.exprs.iter().enumerate() {
+        media_stats_agree(
+            &matrix,
+            QueryRequest::expr(e.clone()),
+            format!("expr[{ei}]"),
+            &mut report,
+        );
         let expected = reference.match_expr(e);
         for engine in &matrix.engines {
             let Some(got) = engine.match_expr(e) else {
@@ -262,6 +265,12 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
             // no value to compare.
             continue;
         };
+        media_stats_agree(
+            &matrix,
+            QueryRequest::aggregate(paq.clone()),
+            format!("agg[{ai}] {:?}", paq.func),
+            &mut report,
+        );
         for engine in &matrix.engines {
             let Some(got) = engine.path_aggregate(paq) else {
                 continue;
@@ -366,6 +375,43 @@ pub fn check(scenario: &Scenario, fault: Fault) -> Report {
         "oracle ran no checks on a non-empty scenario"
     );
     report
+}
+
+/// The logical cost counters: everything but the physical
+/// `disk_reads`/`disk_bytes`, which depend on cache state, not the plan.
+fn logical(mut stats: IoStats) -> IoStats {
+    stats.disk_reads = 0;
+    stats.disk_bytes = 0;
+    stats
+}
+
+/// Invariant: memory and disk run one planner, so under the oblivious
+/// plan (view tie-ranking reads a medium-specific hint) the in-memory and
+/// disk stores count identical logical stats for `request`.
+fn media_stats_agree(matrix: &Matrix, request: QueryRequest, item: String, report: &mut Report) {
+    report.checks += 1;
+    let request = request.oblivious();
+    let detail = match (
+        matrix.mem_store().execute(&request),
+        matrix.disk_store().execute(&request),
+    ) {
+        (Ok((_, mem)), Ok((_, disk))) if logical(mem) == logical(disk) => return,
+        (Ok((_, mem)), Ok((_, disk))) => format!(
+            "memory and disk stats differ: {:?} vs {:?}",
+            logical(mem),
+            logical(disk)
+        ),
+        (mem, disk) => format!(
+            "memory and disk disagree on failure: {:?} vs {:?}",
+            mem.err(),
+            disk.err()
+        ),
+    };
+    report.discrepancies.push(Discrepancy {
+        engine: "columnar-mem-vs-disk-stats".into(),
+        item,
+        detail,
+    });
 }
 
 /// What the reference model expects for one batched request.
