@@ -10,15 +10,24 @@
 //!   engine's duplicate-request elimination and shared planning work
 //!   across the network exactly as in-process.
 //!
+//! A third comparison prices the answer format on one connection:
+//! `graphbi/1` text answers, read by a minimal raw-socket loop, against
+//! `graphbi/2` binary result frames, read by [`Client`]. The two run as
+//! interleaved pairs (the order alternating), and each side reports its
+//! per-run p50, p99 and served bytes per response as median and range.
+//!
 //! Every served response is checked bit-identical (canonical wire text)
 //! against the in-process `Session` answer before any timing is
 //! reported; a mismatch fails the run and the CI job wrapping it.
 //! Per-request latency percentiles land in `BENCH_serve.json`.
 
 use std::fmt::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Instant;
 
-use graphbi::{GraphStore, MvccStore, QueryRequest, Session};
+use graphbi::{GraphStore, MvccStore, QueryRequest, Response, Session};
 use graphbi_obs::Histogram;
 use graphbi_serve::{Client, ServeConfig, ServeStore, Server};
 
@@ -29,6 +38,12 @@ pub const CLIENTS: [usize; 3] = [1, 8, 32];
 
 /// Requests each client issues per run.
 const PER_CLIENT: usize = 60;
+
+/// Interleaved text/binary run pairs in the answer-format comparison.
+const FORMAT_PAIRS: usize = 7;
+
+/// Requests per answer-format run (one connection).
+const FORMAT_REQUESTS: usize = 300;
 
 /// One (mode × clients) measurement.
 struct Run {
@@ -109,6 +124,169 @@ fn run_config(
         identical,
         wall_s,
     }
+}
+
+/// One single-connection run of the answer-format comparison.
+struct FormatRun {
+    p50_us: f64,
+    p99_us: f64,
+    /// Bytes the server wrote per answered `QUERY` (status line included).
+    bytes_per_response: f64,
+    identical: bool,
+}
+
+/// Nearest-rank quantile of ascending `sorted`.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Bytes every server in this process has written to its clients.
+fn served_bytes() -> u64 {
+    graphbi_obs::global()
+        .counter("graphbi_serve_write_bytes_total")
+        .get()
+}
+
+/// Runs `session` against a fresh server and returns what it returned plus
+/// every byte the server wrote meanwhile. Shutdown joins the connection
+/// handlers, so the count is exact.
+fn on_fresh_server<T>(store: &Arc<MvccStore>, session: impl FnOnce(SocketAddr) -> T) -> (T, u64) {
+    let before = served_bytes();
+    let mut server = Server::start(
+        ServeStore::Mvcc(Arc::clone(store)),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("server starts");
+    let out = session(server.addr());
+    server.shutdown();
+    (out, served_bytes() - before)
+}
+
+/// Sends one `graphbi/1` frame line, reads the status line and returns
+/// the `lines=n` payload it announces, verbatim.
+fn text_exchange(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str) -> String {
+    writer.write_all(line.as_bytes()).expect("send");
+    let mut head = String::new();
+    reader.read_line(&mut head).expect("status line");
+    let lines: usize = head
+        .split_whitespace()
+        .find_map(|t| t.strip_prefix("lines="))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("text head without lines=: {head:?}"));
+    let mut body = String::new();
+    for _ in 0..lines {
+        reader.read_line(&mut body).expect("payload line");
+    }
+    body
+}
+
+/// A `graphbi/1` session reduced to what a text client must do: send
+/// `QUERY` lines, read each `lines=n` head and its `n` lines, and parse
+/// the block. Returns per-request latencies in µs and whether every
+/// answer was byte-identical to the expected canonical text. `n == 0`
+/// only says hello and goodbye.
+fn text_session(
+    addr: SocketAddr,
+    reqs: &[QueryRequest],
+    expected: &[String],
+    n: usize,
+) -> (Vec<f64>, bool) {
+    let mut writer = TcpStream::connect(addr).expect("connect");
+    writer.set_nodelay(true).ok();
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    text_exchange(&mut reader, &mut writer, "HELLO graphbi/1\n");
+    let mut latencies = Vec::with_capacity(n);
+    let mut identical = true;
+    for k in 0..n {
+        let i = k % reqs.len();
+        let started = Instant::now();
+        let body = text_exchange(
+            &mut reader,
+            &mut writer,
+            &format!("QUERY {}\n", reqs[i].to_text()),
+        );
+        let parsed = Response::parse_text(&body);
+        latencies.push(started.elapsed().as_secs_f64() * 1e6);
+        identical &= parsed.is_ok() && body == expected[i];
+    }
+    text_exchange(&mut reader, &mut writer, "QUIT\n");
+    (latencies, identical)
+}
+
+/// The same session through [`Client`], which speaks `graphbi/2`.
+fn binary_session(
+    addr: SocketAddr,
+    reqs: &[QueryRequest],
+    expected: &[String],
+    n: usize,
+) -> (Vec<f64>, bool) {
+    let mut client = Client::connect(addr).expect("client connects");
+    let mut latencies = Vec::with_capacity(n);
+    let mut identical = true;
+    for k in 0..n {
+        let i = k % reqs.len();
+        let started = Instant::now();
+        let resp = client.query(&reqs[i]);
+        latencies.push(started.elapsed().as_secs_f64() * 1e6);
+        identical &= resp.is_ok_and(|r| r.to_text() == expected[i]);
+    }
+    client.quit().expect("quit");
+    (latencies, identical)
+}
+
+type SessionFn = fn(SocketAddr, &[QueryRequest], &[String], usize) -> (Vec<f64>, bool);
+
+/// One measured run of `session`: latencies from `FORMAT_REQUESTS`
+/// queries, bytes per response net of the hello/goodbye bytes `idle`.
+fn format_run(
+    store: &Arc<MvccStore>,
+    reqs: &[QueryRequest],
+    expected: &[String],
+    session: SessionFn,
+    idle: u64,
+) -> FormatRun {
+    let ((mut lat, identical), bytes) =
+        on_fresh_server(store, |addr| session(addr, reqs, expected, FORMAT_REQUESTS));
+    lat.sort_by(f64::total_cmp);
+    FormatRun {
+        p50_us: quantile(&lat, 0.50),
+        p99_us: quantile(&lat, 0.99),
+        bytes_per_response: bytes.saturating_sub(idle) as f64 / FORMAT_REQUESTS as f64,
+        identical,
+    }
+}
+
+/// Median, minimum and maximum of one metric over a side's runs.
+fn spread(runs: &[FormatRun], metric: impl Fn(&FormatRun) -> f64) -> (f64, f64, f64) {
+    let mut v: Vec<f64> = runs.iter().map(metric).collect();
+    v.sort_by(f64::total_cmp);
+    (quantile(&v, 0.5), v[0], v[v.len() - 1])
+}
+
+/// Interleaved text-vs-binary pairs; returns `(text runs, binary runs)`.
+fn compare_formats(
+    store: &Arc<MvccStore>,
+    reqs: &[QueryRequest],
+    expected: &[String],
+) -> (Vec<FormatRun>, Vec<FormatRun>) {
+    let idle =
+        |session: SessionFn| on_fresh_server(store, |addr| session(addr, reqs, expected, 0)).1;
+    let (text_idle, binary_idle) = (idle(text_session), idle(binary_session));
+    let (mut text, mut binary) = (Vec::new(), Vec::new());
+    for pair in 0..FORMAT_PAIRS {
+        let run_text = || format_run(store, reqs, expected, text_session, text_idle);
+        let run_binary = || format_run(store, reqs, expected, binary_session, binary_idle);
+        if pair % 2 == 0 {
+            text.push(run_text());
+            binary.push(run_binary());
+        } else {
+            binary.push(run_binary());
+            text.push(run_text());
+        }
+    }
+    (text, binary)
 }
 
 /// Runs the benchmark; returns `false` when any served answer differed
@@ -209,6 +387,8 @@ pub fn run() -> bool {
     let rec_on = fastest(ons);
     let overhead_pct = (rec_on.wall_s - rec_off.wall_s) / rec_off.wall_s.max(1e-9) * 100.0;
 
+    let (text_runs, binary_runs) = compare_formats(&store, &reqs, &expected);
+
     let mut t = Table::new(
         "Service layer: per-request latency, dispatch (batch_max=1) vs batched (batch_max=64)",
         &[
@@ -240,6 +420,27 @@ pub fn run() -> bool {
         rec_off.wall_s, rec_on.wall_s
     );
 
+    let mut t = Table::new(
+        &format!(
+            "Answer format, 1 client: {FORMAT_PAIRS} interleaved pairs, median [min, max] over runs"
+        ),
+        &["format", "p50_us", "p99_us", "bytes/response", "identical"],
+    );
+    let cell = |(med, lo, hi): (f64, f64, f64)| format!("{} [{}, {}]", fmt(med), fmt(lo), fmt(hi));
+    for (name, runs) in [
+        ("text graphbi/1", &text_runs),
+        ("binary graphbi/2", &binary_runs),
+    ] {
+        t.row(vec![
+            name.into(),
+            cell(spread(runs, |r| r.p50_us)),
+            cell(spread(runs, |r| r.p99_us)),
+            cell(spread(runs, |r| r.bytes_per_response)),
+            runs.iter().all(|r| r.identical).to_string(),
+        ]);
+    }
+    t.emit("serve_formats");
+
     // Machine-readable point for the benchmark history.
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"serve\",");
@@ -267,10 +468,29 @@ pub fn run() -> bool {
     let _ = writeln!(
         json,
         "  \"recorder\": {{\"clients\": 8, \"off_s\": {:.4}, \"on_s\": {:.4}, \
-         \"overhead_pct\": {overhead_pct:.2}, \"sample_every\": 0, \"identical\": {}}}",
+         \"overhead_pct\": {overhead_pct:.2}, \"sample_every\": 0, \"identical\": {}}},",
         rec_off.wall_s,
         rec_on.wall_s,
         rec_off.identical && rec_on.identical,
+    );
+    let stat = |(med, lo, hi): (f64, f64, f64)| {
+        format!("{{\"median\": {med:.1}, \"min\": {lo:.1}, \"max\": {hi:.1}}}")
+    };
+    let side = |runs: &[FormatRun]| {
+        format!(
+            "{{\"p50_us\": {}, \"p99_us\": {}, \"bytes_per_response\": {}, \"identical\": {}}}",
+            stat(spread(runs, |r| r.p50_us)),
+            stat(spread(runs, |r| r.p99_us)),
+            stat(spread(runs, |r| r.bytes_per_response)),
+            runs.iter().all(|r| r.identical)
+        )
+    };
+    let _ = writeln!(
+        json,
+        "  \"formats\": {{\"clients\": 1, \"pairs\": {FORMAT_PAIRS}, \"requests_per_run\": {FORMAT_REQUESTS},\n    \
+         \"text\": {},\n    \"binary\": {}}}",
+        side(&text_runs),
+        side(&binary_runs)
     );
     json.push_str("}\n");
     let out = std::env::var("GRAPHBI_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
@@ -279,7 +499,10 @@ pub fn run() -> bool {
         Err(e) => eprintln!("could not write {out}: {e}"),
     }
 
-    let identical = runs.iter().all(|r| r.identical) && rec_off.identical && rec_on.identical;
+    let identical = runs.iter().all(|r| r.identical)
+        && rec_off.identical
+        && rec_on.identical
+        && text_runs.iter().chain(&binary_runs).all(|r| r.identical);
     // Under contention the batched server must actually coalesce: the
     // 32-client batched run needs fewer dispatches than requests.
     let coalesced = runs

@@ -663,39 +663,11 @@ pub fn os_vfs() -> VfsHandle {
     Arc::new(OsVfs)
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC32 (IEEE) of `bytes` — the checksum guarding every on-disk payload.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
+/// CRC32 (IEEE 802.3, the zlib polynomial) — the checksum guarding every
+/// on-disk payload. The one implementation lives in `graphbi_obs`, so WAL
+/// frames, slowlog frames, on-disk blocks and served result frames all
+/// share it.
+pub use graphbi_obs::slowlog::crc32;
 
 #[cfg(test)]
 mod tests {

@@ -77,7 +77,7 @@ pub use statistics::{EdgeSelectivity, StoreStatistics};
 pub use store::GraphStore;
 pub use topk::RankedRecord;
 pub use viewmgr::{AggViewDef, GraphViewDef};
-pub use wire::WireError;
+pub use wire::{WireError, FRAME_MAGIC};
 
 // The vocabulary types users need alongside the store.
 pub use graphbi_bitmap::kernels;

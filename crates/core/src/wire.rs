@@ -31,14 +31,40 @@
 //! ```
 //!
 //! Blocks are self-delimiting (`n=` announces the row count), so several
-//! responses concatenate into one stream — how `BATCH` answers travel.
+//! responses concatenate into one stream — how `BATCH` answers travel
+//! over `graphbi/1`.
+//!
+//! # Binary result frames
+//!
+//! [`Response::encode_frame`] / [`Response::decode_frame`] carry the same
+//! answers column-wise, the way the engine holds them: record ids as a
+//! bitmap, measures as raw floats. One frame is
+//!
+//! ```text
+//! magic u32 = "GBRF"   len u32   crc32(payload) u32   payload (len bytes)
+//! ```
+//!
+//! (little-endian; the WAL's and the slowlog's framing with its own
+//! magic), and the payload is
+//!
+//! ```text
+//! records:    kind=1 u8, n u32, width u32, width × edge-id u32, ids, n × width f64
+//! matches:    kind=2 u8, ids
+//! aggregates: kind=3 u8, n u32, width u32 (= paths),             ids, n × width f64
+//! ids:        blob_len u32, Bitmap::encode_v3 bytes
+//! ```
+//!
+//! Floats travel as their raw little-endian bits, so `NaN` payloads and
+//! `-0.0` survive exactly. Frames are self-delimiting by `len`, so `k`
+//! answers concatenate into one `BATCH` reply.
 
 use std::str::FromStr;
 
-use graphbi_bitmap::Bitmap;
+use graphbi_bitmap::{Bitmap, BitmapBuilder};
 use graphbi_graph::{
     AggFn, EdgeId, GraphQuery, PathAggQuery, PathAggResult, QueryExpr, QueryResult,
 };
+use graphbi_obs::slowlog::crc32;
 
 use crate::engine::EvalOptions;
 use crate::session::{QueryRequest, RequestKind, Response};
@@ -47,10 +73,22 @@ use crate::session::{QueryRequest, RequestKind, Response};
 /// per `m` line, keeping lines short for log-friendliness.
 const MATCH_CHUNK: usize = 512;
 
+/// `"GBRF"` — graph-BI result frame. Distinct from the WAL's and the
+/// slowlog's magics, so a misrouted stream fails at its first frame.
+pub const FRAME_MAGIC: u32 = 0x4742_5246;
+
+/// Bytes in a result frame's header: magic, payload length, CRC.
+const FRAME_HEAD: usize = 12;
+
+const KIND_RECORDS: u8 = 1;
+const KIND_MATCHES: u8 = 2;
+const KIND_AGGREGATES: u8 = 3;
+
 /// A wire-grammar violation: which line failed and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
-    /// Offending line number within the parsed text (1-based).
+    /// Offending line number within the parsed text (1-based); 0 for a
+    /// binary result frame, whose `what` names the byte offset.
     pub line: usize,
     /// What was wrong.
     pub what: String,
@@ -63,11 +101,19 @@ impl WireError {
             what: what.into(),
         }
     }
+
+    fn frame(at: usize, what: impl std::fmt::Display) -> WireError {
+        WireError::new(0, format!("frame byte {at}: {what}"))
+    }
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wire: line {}: {}", self.line, self.what)
+        if self.line == 0 {
+            write!(f, "wire: {}", self.what)
+        } else {
+            write!(f, "wire: line {}: {}", self.line, self.what)
+        }
     }
 }
 
@@ -457,6 +503,243 @@ impl Response {
     }
 }
 
+impl Response {
+    /// Appends this response to `out` as one CRC-framed binary block (see
+    /// the module docs for the layout). Record ids must be strictly
+    /// increasing and the value matrix exactly `n × width`, as every
+    /// engine path produces them; otherwise this is an error and `out`
+    /// is left as it was.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_HEAD]);
+        if let Err(e) = self.encode_payload(out) {
+            out.truncate(start);
+            return Err(e);
+        }
+        let body = start + FRAME_HEAD;
+        let Ok(len) = u32::try_from(out.len() - body) else {
+            out.truncate(start);
+            return Err(unframeable("payload exceeds 4 GiB"));
+        };
+        let crc = crc32(&out[body..]);
+        out[start..start + 4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+        out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+        out[start + 8..body].copy_from_slice(&crc.to_le_bytes());
+        Ok(())
+    }
+
+    fn encode_payload(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        match self {
+            Response::Records(r) => {
+                out.push(KIND_RECORDS);
+                put_dims(out, r.records.len(), r.edges.len())?;
+                for e in &r.edges {
+                    out.extend_from_slice(&e.0.to_le_bytes());
+                }
+                put_rows(out, &r.records, r.edges.len(), &r.measures)
+            }
+            Response::Matches(b) => {
+                out.push(KIND_MATCHES);
+                put_bitmap(out, b)
+            }
+            Response::Aggregates(r) => {
+                out.push(KIND_AGGREGATES);
+                put_dims(out, r.records.len(), r.path_count)?;
+                put_rows(out, &r.records, r.path_count, &r.values)
+            }
+        }
+    }
+
+    /// Decodes one result frame from the front of `buf`, advancing it past
+    /// the frame — `BATCH` replies are decoded by calling this once per
+    /// request. Every length is checked against the bytes present, the
+    /// CRC must match, the id bitmap must hold exactly `n` ids, the value
+    /// matrix must be exactly `n × width`, and the payload must hold
+    /// nothing else. Malformed input is an error, never a panic.
+    pub fn decode_frame(buf: &mut &[u8]) -> Result<Response, WireError> {
+        let bytes: &[u8] = buf;
+        let Some((head, rest)) = bytes.split_first_chunk::<FRAME_HEAD>() else {
+            return Err(WireError::frame(0, "truncated frame header"));
+        };
+        let word = |i: usize| u32::from_le_bytes([head[i], head[i + 1], head[i + 2], head[i + 3]]);
+        if word(0) != FRAME_MAGIC {
+            return Err(WireError::frame(0, format!("bad magic {:#010x}", word(0))));
+        }
+        let len = word(4) as usize;
+        let Some(payload) = rest.get(..len) else {
+            return Err(WireError::frame(
+                FRAME_HEAD,
+                format!("truncated payload: {} of {len} bytes", rest.len()),
+            ));
+        };
+        if crc32(payload) != word(8) {
+            return Err(WireError::frame(8, "CRC mismatch"));
+        }
+        let resp = decode_payload(&mut FrameReader {
+            bytes: payload,
+            at: 0,
+        })?;
+        *buf = &rest[len..];
+        Ok(resp)
+    }
+}
+
+fn unframeable(what: impl std::fmt::Display) -> WireError {
+    WireError::new(0, format!("cannot frame response: {what}"))
+}
+
+fn put_u32(out: &mut Vec<u8>, v: usize, what: &str) -> Result<(), WireError> {
+    let v = u32::try_from(v).map_err(|_| unframeable(format!("{what} {v} exceeds u32")))?;
+    out.extend_from_slice(&v.to_le_bytes());
+    Ok(())
+}
+
+fn put_dims(out: &mut Vec<u8>, n: usize, width: usize) -> Result<(), WireError> {
+    put_u32(out, n, "row count")?;
+    put_u32(out, width, "row width")
+}
+
+fn put_bitmap(out: &mut Vec<u8>, ids: &Bitmap) -> Result<(), WireError> {
+    let blob = ids.encode_v3();
+    put_u32(out, blob.len(), "id bitmap length")?;
+    out.extend_from_slice(&blob);
+    Ok(())
+}
+
+/// Writes the id bitmap and the row-major value matrix of a records or
+/// aggregates answer.
+fn put_rows(
+    out: &mut Vec<u8>,
+    records: &[u32],
+    width: usize,
+    values: &[f64],
+) -> Result<(), WireError> {
+    if records.len().checked_mul(width) != Some(values.len()) {
+        return Err(unframeable(format!(
+            "{} values for {} rows of width {width}",
+            values.len(),
+            records.len()
+        )));
+    }
+    let mut ids = BitmapBuilder::new();
+    let mut last: Option<u32> = None;
+    for &rid in records {
+        if last.is_some_and(|l| l >= rid) {
+            return Err(unframeable(format!("record id {rid} not increasing")));
+        }
+        last = Some(rid);
+        ids.push(rid);
+    }
+    put_bitmap(out, &ids.finish())?;
+    out.reserve(values.len() * 8);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// A bounds-checked cursor over one frame payload; every read reports the
+/// payload offset it failed at.
+struct FrameReader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> FrameReader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
+        let got = self
+            .at
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.at..end))
+            .ok_or_else(|| WireError::frame(FRAME_HEAD + self.at, format!("truncated {what}")))?;
+        self.at += n;
+        Ok(got)
+    }
+
+    fn u8(&mut self, what: &str) -> Result<u8, WireError> {
+        Ok(self.take(1, what)?[0])
+    }
+
+    fn u32(&mut self, what: &str) -> Result<usize, WireError> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+    }
+
+    fn error(&self, what: impl std::fmt::Display) -> WireError {
+        WireError::frame(FRAME_HEAD + self.at, what)
+    }
+
+    fn bitmap(&mut self) -> Result<Bitmap, WireError> {
+        let len = self.u32("id bitmap length")?;
+        let mut blob = self.take(len, "id bitmap")?;
+        let ids = Bitmap::decode(&mut blob).map_err(|e| self.error(format!("id bitmap: {e}")))?;
+        if !blob.is_empty() {
+            return Err(self.error("id bitmap has trailing bytes"));
+        }
+        Ok(ids)
+    }
+
+    /// The id bitmap and `n × width` values of a records or aggregates
+    /// answer, as ascending ids and a row-major matrix.
+    fn rows(&mut self, n: usize, width: usize) -> Result<(Vec<u32>, Vec<f64>), WireError> {
+        let ids = self.bitmap()?;
+        if ids.len() != n as u64 {
+            return Err(self.error(format!("{} record ids for {n} rows", ids.len())));
+        }
+        let bytes = n
+            .checked_mul(width)
+            .and_then(|v| v.checked_mul(8))
+            .ok_or_else(|| self.error(format!("{n} rows of width {width} overflow")))?;
+        let raw = self.take(bytes, "values")?;
+        let values = raw
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+            .collect();
+        Ok((ids.to_vec(), values))
+    }
+}
+
+fn decode_payload(r: &mut FrameReader<'_>) -> Result<Response, WireError> {
+    let resp = match r.u8("kind")? {
+        KIND_RECORDS => {
+            let n = r.u32("row count")?;
+            let width = r.u32("row width")?;
+            let raw = r.take(width.saturating_mul(4), "edge ids")?;
+            let edges = raw
+                .chunks_exact(4)
+                .map(|c| EdgeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+                .collect();
+            let (records, measures) = r.rows(n, width)?;
+            Response::Records(QueryResult {
+                records,
+                edges,
+                measures,
+            })
+        }
+        KIND_MATCHES => Response::Matches(r.bitmap()?),
+        KIND_AGGREGATES => {
+            let n = r.u32("row count")?;
+            let path_count = r.u32("row width")?;
+            let (records, values) = r.rows(n, path_count)?;
+            Response::Aggregates(PathAggResult {
+                records,
+                path_count,
+                values,
+            })
+        }
+        other => {
+            return Err(WireError::frame(
+                FRAME_HEAD,
+                format!("unknown kind {other}"),
+            ))
+        }
+    };
+    if r.at != r.bytes.len() {
+        return Err(r.error(format!("{} trailing payload bytes", r.bytes.len() - r.at)));
+    }
+    Ok(resp)
+}
+
 /// Consumes one line from the stream, bumping the line counter.
 fn next_line<'a, I>(lines: &mut I, lineno: &mut usize, what: &str) -> Result<&'a str, WireError>
 where
@@ -614,6 +897,108 @@ mod tests {
         assert_eq!(got_a.to_text(), a.to_text());
         assert_eq!(got_b.to_text(), b.to_text());
         assert!(lines.next().is_none());
+    }
+
+    fn framed(resps: &[Response]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in resps {
+            r.encode_frame(&mut out)
+                .expect("engine-shaped response frames");
+        }
+        out
+    }
+
+    #[test]
+    fn frames_round_trip_bit_exactly_and_concatenate() {
+        let resps = vec![
+            Response::Records(QueryResult {
+                records: vec![0, 3, 70_000],
+                edges: vec![EdgeId(1), EdgeId(4)],
+                measures: vec![1.5, f64::NAN, f64::INFINITY, -0.0, f64::MIN_POSITIVE, 7.0],
+            }),
+            Response::Records(QueryResult {
+                records: vec![2, 9],
+                edges: vec![],
+                measures: vec![],
+            }),
+            Response::Matches((0..1300u32).chain(65_530..140_000).collect()),
+            Response::Matches(Bitmap::new()),
+            Response::Aggregates(PathAggResult {
+                records: vec![7],
+                path_count: 2,
+                values: vec![f64::NEG_INFINITY, -f64::NAN],
+            }),
+        ];
+        let bytes = framed(&resps);
+        let mut cur = bytes.as_slice();
+        for want in &resps {
+            let got = Response::decode_frame(&mut cur).expect("frame decodes");
+            assert_eq!(got.to_text(), want.to_text());
+            if let (Response::Aggregates(a), Response::Aggregates(b)) = (&got, want) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.values), bits(&b.values), "NaN sign survives");
+            }
+        }
+        assert!(cur.is_empty(), "every frame consumed");
+    }
+
+    #[test]
+    fn unframeable_responses_are_refused_and_leave_the_buffer_alone() {
+        let mut out = vec![9u8];
+        for bad in [
+            Response::Records(QueryResult {
+                records: vec![3, 3],
+                edges: vec![EdgeId(0)],
+                measures: vec![1.0, 2.0],
+            }),
+            Response::Aggregates(PathAggResult {
+                records: vec![5, 1],
+                path_count: 1,
+                values: vec![1.0, 2.0],
+            }),
+            Response::Aggregates(PathAggResult {
+                records: vec![1],
+                path_count: 2,
+                values: vec![1.0],
+            }),
+        ] {
+            assert!(bad.encode_frame(&mut out).is_err());
+            assert_eq!(out, [9]);
+        }
+    }
+
+    #[test]
+    fn malformed_frames_are_typed_errors() {
+        let good = framed(&[Response::Matches((0..10u32).collect())]);
+        // Re-frame a payload with a valid CRC so the payload checks run.
+        let reframe = |payload: &[u8]| {
+            let mut f = FRAME_MAGIC.to_le_bytes().to_vec();
+            f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            f.extend_from_slice(&crc32(payload).to_le_bytes());
+            f.extend_from_slice(payload);
+            f
+        };
+        let mut trailing = good[FRAME_HEAD..].to_vec();
+        trailing.push(0);
+        let mut wrong_n = vec![KIND_AGGREGATES, 2, 0, 0, 0, 0, 0, 0, 0];
+        let ids = (0..1u32).collect::<Bitmap>().encode_v3();
+        wrong_n.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        wrong_n.extend_from_slice(&ids);
+        for bad in [
+            Vec::new(),
+            good[..good.len() - 1].to_vec(),
+            reframe(&trailing),
+            reframe(&[7]),
+            reframe(&wrong_n),
+            {
+                let mut b = good.clone();
+                b[0] ^= 1;
+                b
+            },
+        ] {
+            let mut cur = bad.as_slice();
+            assert!(Response::decode_frame(&mut cur).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

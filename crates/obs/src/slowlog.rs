@@ -17,9 +17,10 @@
 /// misrouted file is detected as torn at frame zero.
 pub const SLOWLOG_MAGIC: u32 = 0x4742_534c;
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven — bit-identical
-/// to `graphbi_columnstore::vfs::crc32`, re-derived here because `obs`
-/// depends on nothing.
+/// CRC32 (IEEE 802.3, the zlib polynomial), table-driven. This is the
+/// repository's one CRC-32: `obs` depends on nothing, so the columnstore
+/// (`graphbi_columnstore::vfs::crc32` re-exports it) and the wire codec
+/// use it from here.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const fn table() -> [u32; 256] {
         let mut t = [0u32; 256];

@@ -1,14 +1,16 @@
 //! A blocking client for the wire protocol.
 //!
-//! `Client::connect` performs the `HELLO` handshake and caches the
-//! served [`Universe`], so QL statements can be compiled locally with
+//! `Client::connect` performs the `HELLO graphbi/2` handshake and caches
+//! the served [`Universe`], so QL statements can be compiled locally with
 //! [`Client::query_ql`] and commit ops can name edges symbolically.
+//! Answers to `QUERY`/`BATCH` arrive as binary result frames and decode
+//! bit-exactly into [`Response`]s.
 //! Every method sends one verb frame and parses exactly one status
 //! frame; `BUSY` and `ERR` surface as typed [`ClientError`] variants
 //! carrying the server's stable [`ErrorCode`] number.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use graphbi::{QueryRequest, Response, WireError};
@@ -63,12 +65,14 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// A parsed `OK` head: its `k=v` fields.
+/// A parsed `OK` head: its `k=v` fields. The payload is announced either
+/// as `lines=` (text) or `bytes=` (result frames).
 struct OkHead {
     generation: Option<u64>,
     epoch: Option<u64>,
     count: Option<usize>,
     lines: usize,
+    bytes: Option<usize>,
     /// The server-assigned request id (`id=<rid>`), usable with `TRACE`.
     id: Option<u64>,
 }
@@ -76,11 +80,14 @@ struct OkHead {
 /// One connection to a `graphbi` server.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Buffered so each verb frame leaves in one write at its `flush`.
+    writer: BufWriter<TcpStream>,
     universe: Universe,
     generation: u64,
     epoch: u64,
     last_rid: Option<u64>,
+    /// Result-frame bytes of the latest answer, reused across requests.
+    frames: Vec<u8>,
 }
 
 impl Client {
@@ -91,11 +98,12 @@ impl Client {
         stream.set_nodelay(true).ok();
         let mut client = Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            writer: BufWriter::new(stream),
             universe: Universe::default(),
             generation: 0,
             epoch: 0,
             last_rid: None,
+            frames: Vec::new(),
         };
         writeln!(client.writer, "HELLO {PROTOCOL_VERSION}")?;
         client.writer.flush()?;
@@ -164,6 +172,7 @@ impl Client {
                     epoch: None,
                     count: None,
                     lines: 0,
+                    bytes: None,
                     id: None,
                 };
                 let mut saw_lines = false;
@@ -183,12 +192,13 @@ impl Client {
                             head.lines = v.parse().map_err(|_| bad())?;
                             saw_lines = true;
                         }
+                        "bytes" => head.bytes = Some(v.parse().map_err(|_| bad())?),
                         _ => {}
                     }
                 }
-                if !saw_lines {
+                if saw_lines == head.bytes.is_some() {
                     return Err(ClientError::Protocol(format!(
-                        "OK head without lines= field: {line:?}"
+                        "OK head needs exactly one of lines= and bytes=: {line:?}"
                     )));
                 }
                 if head.id.is_some() {
@@ -209,9 +219,7 @@ impl Client {
                 // the failing request can be TRACEd; strip it from the
                 // human-facing message.
                 if let Some(last) = words.last() {
-                    if let Some(rid) = last
-                        .strip_prefix("id=")
-                        .and_then(|v| v.parse::<u64>().ok())
+                    if let Some(rid) = last.strip_prefix("id=").and_then(|v| v.parse::<u64>().ok())
                     {
                         self.last_rid = Some(rid);
                         words.pop();
@@ -240,13 +248,49 @@ impl Client {
         Ok(out)
     }
 
+    /// Reads the `bytes=` payload announced by `head` and decodes exactly
+    /// `k` result frames from it; anything left over is a protocol error.
+    fn read_frames(&mut self, head: &OkHead, k: usize) -> Result<Vec<Response>, ClientError> {
+        let Some(n) = head.bytes else {
+            return Err(ClientError::Protocol(
+                "answer announced lines=, expected bytes=".into(),
+            ));
+        };
+        self.frames.clear();
+        (&mut self.reader)
+            .take(n as u64)
+            .read_to_end(&mut self.frames)?;
+        if self.frames.len() != n {
+            return Err(ClientError::Protocol(
+                "connection closed mid-response".into(),
+            ));
+        }
+        let mut rest = self.frames.as_slice();
+        let mut out = Vec::with_capacity(k);
+        for _ in 0..k {
+            out.push(Response::decode_frame(&mut rest)?);
+        }
+        if !rest.is_empty() {
+            return Err(ClientError::Protocol(format!(
+                "{} bytes after {k} result frames",
+                rest.len()
+            )));
+        }
+        Ok(out)
+    }
+
+    /// Reads the one result frame answering a `QUERY`.
+    fn read_answer(&mut self) -> Result<Response, ClientError> {
+        let head = self.read_head()?;
+        let mut answers = self.read_frames(&head, 1)?;
+        Ok(answers.pop().expect("one frame decoded"))
+    }
+
     /// Executes one request on the session's pinned state.
     pub fn query(&mut self, request: &QueryRequest) -> Result<Response, ClientError> {
         writeln!(self.writer, "QUERY {}", request.to_text())?;
         self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(Response::parse_text(&body)?)
+        self.read_answer()
     }
 
     /// Executes one request tagged with a client correlation id. The id
@@ -259,9 +303,7 @@ impl Client {
     ) -> Result<Response, ClientError> {
         writeln!(self.writer, "QUERY id={id} {}", request.to_text())?;
         self.writer.flush()?;
-        let head = self.read_head()?;
-        let body = self.read_lines(head.lines)?;
-        Ok(Response::parse_text(&body)?)
+        self.read_answer()
     }
 
     /// Compiles a QL statement against the cached universe and executes
@@ -289,14 +331,7 @@ impl Client {
                 requests.len()
             )));
         }
-        let body = self.read_lines(head.lines)?;
-        let mut lines = body.lines();
-        let mut lineno = 0usize;
-        let mut out = Vec::with_capacity(requests.len());
-        for _ in 0..requests.len() {
-            out.push(Response::read_block(&mut lines, &mut lineno)?);
-        }
-        Ok(out)
+        self.read_frames(&head, requests.len())
     }
 
     /// Commits ops atomically and re-pins the session past the commit
@@ -379,8 +414,9 @@ impl Client {
     }
 
     /// Sends a raw frame line and returns the raw status line — the
-    /// escape hatch `graphbi connect` and tests use to poke the protocol
-    /// directly (including malformed frames).
+    /// escape hatch tests use to poke the protocol directly (including
+    /// malformed frames). Any payload the status line announces is left
+    /// unread, so this suits verbs answered by a single line.
     pub fn send_raw(&mut self, line: &str) -> Result<String, ClientError> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;

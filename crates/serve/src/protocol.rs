@@ -1,18 +1,32 @@
-//! The wire protocol: versioned, line-oriented text frames.
+//! The wire protocol: versioned, line-oriented frames with binary
+//! answers.
 //!
-//! Every frame is UTF-8 lines. The client speaks verbs; the server
-//! answers exactly one status frame per verb — `OK`, `ERR` or `BUSY` —
-//! so a connection is never dropped without a response. Multi-line
-//! payloads are length-framed by a `lines=<n>` field in the `OK` head,
-//! and request/response payloads use the canonical [`QueryRequest`] /
-//! [`Response`] grammar from `graphbi::wire` — the same text the CLI and
-//! testkit use.
+//! The client speaks UTF-8 verb lines; the server answers exactly one
+//! status frame per verb — `OK`, `ERR` or `BUSY` — so a connection is
+//! never dropped without a response. Request payloads use the canonical
+//! [`QueryRequest`] grammar from `graphbi::wire`, the same text the CLI
+//! and testkit use.
+//!
+//! `HELLO` picks the answer format for the connection ([`Format`]):
+//!
+//! - `graphbi/2` ([`PROTOCOL_VERSION`], what [`Client`](crate::Client)
+//!   speaks): `QUERY`/`BATCH` answers are binary. The `OK` head announces
+//!   `bytes=<n>`, and `n` bytes follow: one CRC-framed result block per
+//!   answer (`[magic "GBRF" u32][len u32][crc32 u32][payload]`, record
+//!   ids as a v3 bitmap, values as raw little-endian `f64`; see
+//!   [`Response::encode_frame`]).
+//! - `graphbi/1` ([`TEXT_PROTOCOL_VERSION`], for humans, `nc` and older
+//!   clients): answers are [`Response`] text blocks, announced by
+//!   `lines=<n>`.
+//!
+//! Every other multi-line payload is length-framed by `lines=<n>` under
+//! both versions.
 //!
 //! | verb                | payload lines after the verb | reply                                   |
 //! |---------------------|------------------------------|-----------------------------------------|
-//! | `HELLO graphbi/1`   | —                            | `OK graphbi/1 generation= epoch= lines=n id=` + universe text |
-//! | `QUERY [id=c] <request>` | —                       | `OK generation= epoch= lines=n id=` + response block |
-//! | `BATCH <k> [id=c]`  | `k` request lines            | `OK count=k generation= epoch= lines=n id=` + `k` response blocks |
+//! | `HELLO graphbi/2`   | —                            | `OK graphbi/2 generation= epoch= lines=n id=` + universe text |
+//! | `QUERY [id=c] <request>` | —                       | `OK generation= epoch= bytes=n id=` + one result frame (`graphbi/1`: `lines=n` + response block) |
+//! | `BATCH <k> [id=c]`  | `k` request lines            | `OK count=k generation= epoch= bytes=n id=` + `k` result frames (`graphbi/1`: `lines=n` + `k` response blocks) |
 //! | `COMMIT <k>`        | `k` op lines                 | `OK generation= epoch= lines=0 id=`     |
 //! | `PROFILE <request>` | —                            | `OK lines=1 id=` + one JSON line        |
 //! | `METRICS`           | —                            | `OK lines=n id=` + Prometheus text      |
@@ -28,19 +42,56 @@
 //! the flight-recorder entry, so a client can find its own requests in
 //! `SLOWLOG` output without tracking server ids.
 //!
-//! Failure frames are single lines: `ERR <code> <SYMBOL> <message> id=<rid>`
-//! with a stable [`ErrorCode`], and `BUSY <code> <message>` when the
-//! admission queue stayed full for the whole timeout (the backpressure
-//! signal — retry later). Commit op lines are `insert <edge>:<measure>…`
-//! and `update <rid> <edge>:<measure>…`.
+//! Failure frames are single lines under both versions:
+//! `ERR <code> <SYMBOL> <message> id=<rid>` with a stable [`ErrorCode`],
+//! and `BUSY <code> <message>` when the admission queue stayed full for
+//! the whole timeout (the backpressure signal — retry later). Commit op
+//! lines are `insert <edge>:<measure>…` and `update <rid> <edge>:<measure>…`.
+//!
+//! [`QueryRequest`]: graphbi::QueryRequest
+//! [`Response`]: graphbi::Response
+//! [`Response::encode_frame`]: graphbi::Response::encode_frame
 
 use graphbi::{ErrorCode, WireError};
 use graphbi_columnstore::DeltaOp;
 use graphbi_graph::{GraphRecord, RecordBuilder};
 
-/// The protocol version token exchanged in `HELLO`. A server refuses
-/// other versions with [`ErrorCode::Unsupported`].
-pub const PROTOCOL_VERSION: &str = "graphbi/1";
+/// The current protocol version: `QUERY`/`BATCH` answers travel as
+/// binary result frames. [`Client`](crate::Client) always speaks it.
+pub const PROTOCOL_VERSION: &str = "graphbi/2";
+
+/// The text protocol version: every answer is canonical wire text.
+pub const TEXT_PROTOCOL_VERSION: &str = "graphbi/1";
+
+/// How a connection's `QUERY`/`BATCH` answers travel, fixed by the
+/// version its `HELLO` named.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// `graphbi/1`: [`Response`](graphbi::Response) text blocks.
+    Text,
+    /// `graphbi/2`: CRC-framed binary result blocks.
+    Binary,
+}
+
+impl Format {
+    /// The format a `HELLO` version selects; `None` for a version this
+    /// server does not speak (refused with [`ErrorCode::Unsupported`]).
+    pub fn from_version(version: &str) -> Option<Format> {
+        match version {
+            TEXT_PROTOCOL_VERSION => Some(Format::Text),
+            PROTOCOL_VERSION => Some(Format::Binary),
+            _ => None,
+        }
+    }
+
+    /// The version token this format is negotiated by.
+    pub fn version(self) -> &'static str {
+        match self {
+            Format::Text => TEXT_PROTOCOL_VERSION,
+            Format::Binary => PROTOCOL_VERSION,
+        }
+    }
+}
 
 /// Hard cap on one frame line; longer lines are a [`ErrorCode::Malformed`]
 /// protocol error and close the connection (the stream can no longer be
@@ -340,6 +391,17 @@ mod tests {
         ] {
             assert!(parse_verb(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn hello_versions_select_formats() {
+        for f in [Format::Text, Format::Binary] {
+            assert_eq!(Format::from_version(f.version()), Some(f));
+        }
+        assert_eq!(Format::from_version("graphbi/2"), Some(Format::Binary));
+        assert_eq!(Format::from_version("graphbi/1"), Some(Format::Text));
+        assert_eq!(Format::from_version("graphbi/3"), None);
+        assert_eq!(Format::from_version(""), None);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! queue holds at most `queue_depth` jobs — overload degrades into
 //! prompt, typed `BUSY` responses, never into growth.
 
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -48,11 +48,14 @@ use std::time::{Duration, Instant};
 
 use graphbi::{
     Coded, ErrorCode, MvccStore, Profile, QueryRequest, Response, Session, SessionError, Snapshot,
+    WireError,
 };
 use graphbi_columnstore::{DeltaOp, IoStats};
 use graphbi_obs::{json, Counter, Histogram};
 
-use crate::protocol::{self, Verb, MAX_LINE_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{
+    self, Format, Verb, MAX_LINE_BYTES, PROTOCOL_VERSION, TEXT_PROTOCOL_VERSION,
+};
 use crate::queue::{AdmissionQueue, OfferError};
 use crate::recorder::{synthesized_profile, Recorder, RecorderConfig, RequestTrace, SlowlogExport};
 
@@ -466,7 +469,9 @@ fn read_frame_line(reader: &mut BufReader<TcpStream>, ctx: &Ctx) -> io::Result<F
 }
 
 /// A write wrapper feeding the served-bytes counter — the egress half of
-/// the per-connection byte accounting.
+/// the per-connection byte accounting. It sits under the connection's
+/// `BufWriter`, so it counts bytes the socket accepted, and a reply
+/// leaves in one `write(2)` rather than one per format piece.
 struct CountingWriter {
     inner: TcpStream,
     bytes: Arc<Counter>,
@@ -488,6 +493,12 @@ impl io::Write for CountingWriter {
 enum Refusal {
     Busy(String),
     Fail(ErrorCode, String),
+}
+
+/// An answer the binary codec refused (record ids out of order): a
+/// server bug, reported as `INTERNAL` rather than sent malformed.
+fn unframeable(e: WireError) -> Refusal {
+    Refusal::Fail(ErrorCode::Internal, e.to_string())
 }
 
 /// Enqueues `requests` for the batcher and collects the answers in
@@ -588,10 +599,45 @@ fn record_failure(
     );
 }
 
+/// The connection's socket writer: buffered, counting what the socket
+/// accepts.
+type Writer = BufWriter<CountingWriter>;
+
+/// Renders a `QUERY`/`BATCH` reply into `out`: the `OK` head (`fields`,
+/// then the payload size and `id=`) followed by every answer — text
+/// blocks announced by `lines=` under `graphbi/1`, result frames
+/// announced by `bytes=` under `graphbi/2`.
+fn render_answers(
+    out: &mut Vec<u8>,
+    format: Format,
+    fields: &str,
+    rid: u64,
+    outcomes: &[JobOutcome],
+) -> Result<(), WireError> {
+    out.clear();
+    match format {
+        Format::Text => {
+            let lines: usize = outcomes.iter().map(|o| o.response.line_count()).sum();
+            let _ = writeln!(out, "OK {fields} lines={lines} id={rid}");
+            for o in outcomes {
+                out.extend_from_slice(o.response.to_text().as_bytes());
+            }
+        }
+        Format::Binary => {
+            for o in outcomes {
+                o.response.encode_frame(out)?;
+            }
+            let head = format!("OK {fields} bytes={} id={rid}\n", out.len());
+            out.splice(0..0, head.into_bytes());
+        }
+    }
+    Ok(())
+}
+
 /// Answers a [`Refusal`] on the wire and records it into the recorder.
 #[allow(clippy::too_many_arguments)]
 fn refuse(
-    writer: &mut CountingWriter,
+    writer: &mut Writer,
     ctx: &Ctx,
     rid: u64,
     cid: Option<u64>,
@@ -741,13 +787,25 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = CountingWriter {
+    let mut writer = BufWriter::new(CountingWriter {
         inner: stream,
         bytes: Arc::clone(&ctx.metrics.write_bytes),
-    };
+    });
+    let served = serve_connection(&mut reader, &mut writer, ctx);
+    // Every way out of the session (EOF, an over-long line, a refused
+    // HELLO, QUIT) leaves its last reply buffered until here.
+    let flushed = writer.flush();
+    served.and(flushed)
+}
 
-    // Handshake: the first frame must be HELLO with our version.
-    let first = match read_frame_line(&mut reader, ctx)? {
+fn serve_connection(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut Writer,
+    ctx: &Ctx,
+) -> io::Result<()> {
+    // Handshake: the first frame must be HELLO naming a version we speak;
+    // the version fixes how QUERY/BATCH answers travel.
+    let first = match read_frame_line(reader, ctx)? {
         FrameLine::Line(l) => l,
         FrameLine::Eof => return Ok(()),
         FrameLine::TooLong => {
@@ -759,19 +817,23 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             return Ok(());
         }
     };
-    match protocol::parse_verb(&first) {
-        Ok(Verb::Hello(v)) if v == PROTOCOL_VERSION => {}
-        Ok(Verb::Hello(v)) => {
-            writeln!(
-                writer,
-                "{}",
-                protocol::render_err(
-                    ErrorCode::Unsupported,
-                    &format!("protocol {v:?}; this server speaks {PROTOCOL_VERSION}")
-                )
-            )?;
-            return Ok(());
-        }
+    let format = match protocol::parse_verb(&first) {
+        Ok(Verb::Hello(v)) => match Format::from_version(&v) {
+            Some(format) => format,
+            None => {
+                writeln!(
+                    writer,
+                    "{}",
+                    protocol::render_err(
+                        ErrorCode::Unsupported,
+                        &format!(
+                            "protocol {v:?}; this server speaks {PROTOCOL_VERSION} and {TEXT_PROTOCOL_VERSION}"
+                        )
+                    )
+                )?;
+                return Ok(());
+            }
+        },
         Ok(_) | Err(_) => {
             writeln!(
                 writer,
@@ -780,20 +842,23 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             )?;
             return Ok(());
         }
-    }
+    };
     let mut pinned = ctx.store.pin();
     let (gen, epoch) = position(&pinned);
     let hello_rid = ctx.recorder.next_rid();
     write!(
         writer,
-        "OK {PROTOCOL_VERSION} generation={gen} epoch={epoch} lines={} id={hello_rid}\n{}",
+        "OK {} generation={gen} epoch={epoch} lines={} id={hello_rid}\n{}",
+        format.version(),
         ctx.hello_text.lines().count(),
         ctx.hello_text
     )?;
     writer.flush()?;
+    // The reply under construction, reused across requests.
+    let mut reply: Vec<u8> = Vec::new();
 
     loop {
-        let line = match read_frame_line(&mut reader, ctx)? {
+        let line = match read_frame_line(reader, ctx)? {
             FrameLine::Line(l) => l,
             FrameLine::Eof => return Ok(()),
             FrameLine::TooLong => {
@@ -860,16 +925,22 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                     Ok(req) => {
                         ctx.metrics.requests.inc();
                         let sampled = ctx.recorder.sample();
-                        match dispatch(ctx, &pinned, vec![req], sampled) {
+                        let (gen, epoch) = position(&pinned);
+                        let answered = dispatch(ctx, &pinned, vec![req], sampled).and_then(|o| {
+                            render_answers(
+                                &mut reply,
+                                format,
+                                &format!("generation={gen} epoch={epoch}"),
+                                rid,
+                                &o,
+                            )
+                            .map(|()| o)
+                            .map_err(unframeable)
+                        });
+                        match answered {
                             Ok(mut outcomes) => {
+                                writer.write_all(&reply)?;
                                 let out = outcomes.pop().expect("one request, one outcome");
-                                let (gen, epoch) = position(&pinned);
-                                write!(
-                                    writer,
-                                    "OK generation={gen} epoch={epoch} lines={} id={rid}\n{}",
-                                    out.response.line_count(),
-                                    out.response.to_text()
-                                )?;
                                 let total_ns = dur_ns(started.elapsed());
                                 // Skip trace assembly entirely unless the
                                 // recorder will keep it — the unsampled
@@ -900,15 +971,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                 }
                             }
                             Err(r) => refuse(
-                                &mut writer,
-                                ctx,
-                                rid,
-                                cid,
-                                "query",
-                                &payload,
-                                &pinned,
-                                started,
-                                r,
+                                writer, ctx, rid, cid, "query", &payload, &pinned, started, r,
                             )?,
                         }
                     }
@@ -921,7 +984,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 // request never desynchronizes framing.
                 let mut raw = Vec::with_capacity(k);
                 for _ in 0..k {
-                    match read_frame_line(&mut reader, ctx)? {
+                    match read_frame_line(reader, ctx)? {
                         FrameLine::Line(l) => raw.push(l),
                         FrameLine::Eof => return Ok(()),
                         FrameLine::TooLong => {
@@ -963,18 +1026,21 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                     Ok(reqs) => {
                         ctx.metrics.requests.add(k as u64);
                         let sampled = ctx.recorder.sample();
-                        match dispatch(ctx, &pinned, reqs, sampled) {
+                        let (gen, epoch) = position(&pinned);
+                        let answered = dispatch(ctx, &pinned, reqs, sampled).and_then(|o| {
+                            render_answers(
+                                &mut reply,
+                                format,
+                                &format!("count={k} generation={gen} epoch={epoch}"),
+                                rid,
+                                &o,
+                            )
+                            .map(|()| o)
+                            .map_err(unframeable)
+                        });
+                        match answered {
                             Ok(outcomes) => {
-                                let lines: usize =
-                                    outcomes.iter().map(|o| o.response.line_count()).sum();
-                                let (gen, epoch) = position(&pinned);
-                                writeln!(
-                                    writer,
-                                    "OK count={k} generation={gen} epoch={epoch} lines={lines} id={rid}"
-                                )?;
-                                for o in &outcomes {
-                                    write!(writer, "{}", o.response.to_text())?;
-                                }
+                                writer.write_all(&reply)?;
                                 let total_ns = dur_ns(started.elapsed());
                                 if ctx.recorder.should_capture(sampled, total_ns, false) {
                                     let mut io = IoStats::new();
@@ -1012,17 +1078,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                                     );
                                 }
                             }
-                            Err(r) => refuse(
-                                &mut writer,
-                                ctx,
-                                rid,
-                                cid,
-                                "batch",
-                                &first,
-                                &pinned,
-                                started,
-                                r,
-                            )?,
+                            Err(r) => {
+                                refuse(writer, ctx, rid, cid, "batch", &first, &pinned, started, r)?
+                            }
                         }
                     }
                 }
@@ -1032,7 +1090,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
                 sp.attr("ops", k as u64);
                 let mut raw = Vec::with_capacity(k);
                 for _ in 0..k {
-                    match read_frame_line(&mut reader, ctx)? {
+                    match read_frame_line(reader, ctx)? {
                         FrameLine::Line(l) => raw.push(l),
                         FrameLine::Eof => return Ok(()),
                         FrameLine::TooLong => {
@@ -1219,7 +1277,6 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) -> io::Result<()> {
             }
             Verb::Quit => {
                 writeln!(writer, "OK lines=0 id={rid}")?;
-                writer.flush()?;
                 return Ok(());
             }
         }
@@ -1267,7 +1324,7 @@ fn batcher_loop(ctx: &Arc<Ctx>) {
             let sent = match job.pinned.profile(&job.request) {
                 Ok((response, profile)) => Ok(JobOutcome {
                     response,
-                    io: profile.stats.clone(),
+                    io: profile.stats,
                     wait_ns: waits[0],
                     batch: 1,
                     profile: Some(profile),

@@ -1,10 +1,13 @@
-//! Property tests for the wire grammar and frame parsing.
+//! Property tests for the wire grammar, the binary result frames and
+//! frame parsing.
 //!
-//! Round-trips are checked *by construction*: rendering any value and
-//! parsing it back yields a value that renders identically (text-level
-//! equality also covers `NaN`, which breaks `PartialEq`). Malformed
-//! input of any shape must be rejected with a typed error — never a
-//! panic, never a silent misparse.
+//! Text round-trips are checked *by construction*: rendering any value
+//! and parsing it back yields a value that renders identically
+//! (text-level equality also covers `NaN`, which breaks `PartialEq`).
+//! Binary round-trips compare every float by `f64::to_bits`, so `NaN`
+//! payloads, `±inf` and `-0.0` must come back exactly. Malformed input
+//! of any shape must be rejected with a typed error — never a panic,
+//! never a silent misparse.
 
 use graphbi::{
     AggFn, Bitmap, EdgeId, EvalOptions, GraphQuery, PathAggQuery, PathAggResult, QueryExpr,
@@ -121,6 +124,103 @@ fn response() -> impl Strategy<Value = Response> {
             })
     });
     prop_oneof![records, matches, aggregates]
+}
+
+/// Strictly ascending record ids, as every engine path produces them,
+/// spread past 65,536 so answers span several bitmap chunks.
+fn ascending_ids(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::btree_set(0u32..300_000, 0..max_len).prop_map(|s| s.into_iter().collect())
+}
+
+/// Responses shaped as the engine shapes them — the binary codec's
+/// domain. Match sets mix scattered ids with a dense range, so the v3
+/// codec's array, run and word forms all occur.
+fn framed_response() -> impl Strategy<Value = Response> {
+    let records = (
+        prop::collection::vec((0u32..200).prop_map(EdgeId), 0..6),
+        ascending_ids(8),
+    )
+        .prop_flat_map(|(edges, ids)| {
+            let cells = ids.len() * edges.len();
+            (
+                Just(edges),
+                Just(ids),
+                prop::collection::vec(measure(), cells..=cells),
+            )
+        })
+        .prop_map(|(edges, records, measures)| {
+            Response::Records(QueryResult {
+                records,
+                edges,
+                measures,
+            })
+        });
+    let matches = (
+        prop::collection::vec(0u32..2_000_000, 0..1400),
+        0u32..200_000,
+        0u32..70_000,
+    )
+        .prop_map(|(ids, start, len)| {
+            let scattered: Bitmap = ids.into_iter().collect();
+            Response::Matches(scattered.or(&Bitmap::from_range(start..start + len)))
+        });
+    let aggregates = (1usize..5, ascending_ids(8))
+        .prop_flat_map(|(paths, ids)| {
+            let cells = ids.len() * paths;
+            (
+                Just(paths),
+                Just(ids),
+                prop::collection::vec(measure(), cells..=cells),
+            )
+        })
+        .prop_map(|(path_count, records, values)| {
+            Response::Aggregates(PathAggResult {
+                records,
+                path_count,
+                values,
+            })
+        });
+    prop_oneof![records, matches, aggregates]
+}
+
+/// Everything a response carries, floats as raw bits: equal fingerprints
+/// mean bit-identical answers, `NaN` included.
+fn exact(resp: &Response) -> (u8, Vec<u32>, Vec<u32>, usize, Vec<u64>) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    match resp {
+        Response::Records(r) => (
+            1,
+            r.records.clone(),
+            r.edges.iter().map(|e| e.0).collect(),
+            r.edges.len(),
+            bits(&r.measures),
+        ),
+        Response::Matches(b) => (2, b.iter().collect(), Vec::new(), 0, Vec::new()),
+        Response::Aggregates(a) => (
+            3,
+            a.records.clone(),
+            Vec::new(),
+            a.path_count,
+            bits(&a.values),
+        ),
+    }
+}
+
+fn frame(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    resp.encode_frame(&mut out)
+        .expect("engine-shaped responses frame");
+    out
+}
+
+/// Wraps `payload` in a frame header with a matching CRC, so the payload
+/// decoder itself is exercised rather than the CRC check.
+fn reframe(payload: &[u8]) -> Vec<u8> {
+    let mut out = graphbi::FRAME_MAGIC.to_le_bytes().to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&graphbi_obs::slowlog::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 fn record() -> impl Strategy<Value = graphbi_graph::GraphRecord> {
@@ -243,6 +343,73 @@ proptest! {
             }
             other => prop_assert!(false, "parsed as {:?}", other),
         }
+    }
+
+    #[test]
+    fn frame_round_trips_bit_exactly(resp in framed_response()) {
+        let bytes = frame(&resp);
+        let mut cur = bytes.as_slice();
+        let back = Response::decode_frame(&mut cur).unwrap_or_else(|e| panic!("{e}"));
+        prop_assert!(cur.is_empty(), "the frame is consumed exactly");
+        prop_assert_eq!(exact(&back), exact(&resp));
+        prop_assert_eq!(back.to_text(), resp.to_text());
+    }
+
+    /// `k` frames back to back — a BATCH reply — decode one by one, in
+    /// order, and consume the stream exactly.
+    #[test]
+    fn frames_concatenate(resps in prop::collection::vec(framed_response(), 1..5)) {
+        let mut bytes = Vec::new();
+        for r in &resps {
+            r.encode_frame(&mut bytes).expect("engine-shaped responses frame");
+        }
+        let mut cur = bytes.as_slice();
+        for want in &resps {
+            let got = Response::decode_frame(&mut cur).expect("frame decodes");
+            prop_assert_eq!(exact(&got), exact(want));
+        }
+        prop_assert!(cur.is_empty(), "stream fully consumed");
+    }
+
+    /// A frame cut at any byte offset is an error, never a shorter answer.
+    #[test]
+    fn truncated_frames_reject(resp in framed_response()) {
+        let bytes = frame(&resp);
+        for cut in 0..bytes.len() {
+            let mut cur = &bytes[..cut];
+            prop_assert!(Response::decode_frame(&mut cur).is_err(), "cut at {}", cut);
+        }
+    }
+
+    /// Flipping any single bit — header or payload — is detected.
+    #[test]
+    fn bit_flipped_frames_reject(resp in framed_response(), at in any::<prop::sample::Index>()) {
+        let mut bytes = frame(&resp);
+        let bit = at.index(bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let mut cur = bytes.as_slice();
+        prop_assert!(Response::decode_frame(&mut cur).is_err(), "bit {} flipped", bit);
+    }
+
+    /// Arbitrary bytes never panic the decoder — neither raw, nor as a
+    /// payload behind a valid header and CRC, nor as a valid payload with
+    /// one byte overwritten.
+    #[test]
+    fn arbitrary_frames_never_panic(
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+        resp in framed_response(),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let _ = Response::decode_frame(&mut junk.as_slice());
+        let _ = Response::decode_frame(&mut reframe(&junk).as_slice());
+        let bytes = frame(&resp);
+        let mut payload = bytes[12..].to_vec();
+        if !payload.is_empty() {
+            let i = at.index(payload.len());
+            payload[i] = byte;
+        }
+        let _ = Response::decode_frame(&mut reframe(&payload).as_slice());
     }
 
     /// Truncating a response block anywhere must fail loudly, not return

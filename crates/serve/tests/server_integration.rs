@@ -149,11 +149,99 @@ fn hello_version_mismatch_is_refused() {
     .expect("server starts");
 
     use std::io::{BufRead, BufReader, Write};
+    // graphbi/1 (text) and graphbi/2 (binary) are spoken; nothing else.
+    for version in ["graphbi/99", "graphbi/3", "graphbi/0"] {
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        writeln!(stream, "HELLO {version}").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        assert!(
+            line.starts_with("ERR 111 UNSUPPORTED"),
+            "{version}: {line:?}"
+        );
+    }
+}
+
+/// A `graphbi/1` connection — a human with `nc`, or an old client — gets
+/// QUERY and BATCH answers as canonical wire text, byte-identical to
+/// `Response::to_text` of the in-process answers. `Client` speaks
+/// `graphbi/2`, so this is the test that keeps the text path honest.
+#[test]
+fn text_protocol_answers_are_canonical_text() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let scenario = Scenario::generate(7);
+    let mut store = GraphStore::load(scenario.universe.clone(), &scenario.records);
+    store.advise_views(&scenario.queries, scenario.view_budget);
+    let mvcc = Arc::new(MvccStore::new_mem(store));
+    let reqs = workload(&scenario);
+    let expected = expected_texts(mvcc.as_ref(), &reqs);
+    let server = Server::start(
+        ServeStore::Mvcc(Arc::clone(&mvcc)),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+    )
+    .expect("server starts");
+
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    writeln!(stream, "HELLO graphbi/99").unwrap();
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).unwrap();
-    assert!(line.starts_with("ERR 111 UNSUPPORTED"), "{line:?}");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    // Reads one status line and the `lines=` payload it announces, both
+    // verbatim.
+    let reply = |reader: &mut BufReader<std::net::TcpStream>| -> (String, String) {
+        let mut head = String::new();
+        reader.read_line(&mut head).expect("status line");
+        let lines: usize = head
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix("lines="))
+            .unwrap_or_else(|| panic!("text head announces lines=: {head:?}"))
+            .parse()
+            .expect("numeric lines=");
+        assert!(!head.contains("bytes="), "{head:?}");
+        let mut body = String::new();
+        for _ in 0..lines {
+            reader.read_line(&mut body).expect("payload line");
+        }
+        (head, body)
+    };
+
+    writeln!(stream, "HELLO graphbi/1").unwrap();
+    let (head, universe) = reply(&mut reader);
+    assert!(
+        head.starts_with("OK graphbi/1 generation=0 epoch=0 "),
+        "{head:?}"
+    );
+    assert_eq!(universe, scenario.universe.to_text());
+
+    for (req, want) in reqs.iter().zip(&expected) {
+        writeln!(stream, "QUERY {}", req.to_text()).unwrap();
+        let (head, body) = reply(&mut reader);
+        assert!(
+            head.starts_with("OK generation=0 epoch=0 lines="),
+            "{head:?}"
+        );
+        assert_eq!(&body, want, "for {}", req.to_text());
+    }
+
+    writeln!(stream, "BATCH {}", reqs.len()).unwrap();
+    for req in &reqs {
+        writeln!(stream, "{}", req.to_text()).unwrap();
+    }
+    let (head, body) = reply(&mut reader);
+    assert!(
+        head.starts_with(&format!(
+            "OK count={} generation=0 epoch=0 lines=",
+            reqs.len()
+        )),
+        "{head:?}"
+    );
+    assert_eq!(body, expected.concat());
+
+    writeln!(stream, "QUIT").unwrap();
+    let (head, _) = reply(&mut reader);
+    assert!(head.starts_with("OK lines=0 id="), "{head:?}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("server closes");
+    assert!(rest.is_empty(), "nothing after QUIT: {rest:?}");
 }
 
 /// N reader connections race a committing writer. Every reader pins a
