@@ -26,9 +26,7 @@
 //! `graphbi_bitmap::intcodec` (bit-packing, Elias-Fano, gamma codes) so
 //! the property-test suite can drive every codec from one place.
 
-use std::collections::HashMap;
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 pub use graphbi_bitmap::intcodec::{
     gallop_intersect, gamma_bit_len, BitReader, BitWriter, EfCursor, EliasFano, PackedInts,
@@ -180,45 +178,38 @@ impl Measures {
     }
 
     /// Writes the v3 value block (tag + payload), dictionary-coding when
-    /// that is strictly smaller than raw.
-    pub(crate) fn encode_v3_into(&self, buf: &mut BytesMut) {
-        let n = self.len();
-        let mut interned: HashMap<u64, u32> = HashMap::new();
-        let mut dict: Vec<f64> = Vec::new();
-        let mut indices: Vec<u64> = Vec::with_capacity(n);
-        for v in self.iter() {
-            let next = dict.len() as u32;
-            let idx = *interned.entry(v.to_bits()).or_insert_with(|| {
-                dict.push(v);
-                next
-            });
-            indices.push(u64::from(idx));
-            if dict.len() > DICT_MAX {
-                break;
+    /// that is strictly smaller than raw. Returns the codec tag written.
+    pub(crate) fn encode_v3_into(&self, buf: &mut BytesMut) -> u8 {
+        match intern(self) {
+            Some((dict, indices)) => {
+                let width = dict_index_width(dict.len());
+                buf.put_u8(VALUES_DICT);
+                buf.put_u32_le(dict.len() as u32);
+                for &v in &dict {
+                    buf.put_f64_le(v);
+                }
+                buf.put_u8(width as u8);
+                buf.put_slice(PackedInts::pack(&indices, width).as_bytes());
+                VALUES_DICT
             }
-        }
-        let width = if dict.is_empty() {
-            0
-        } else {
-            PackedInts::width_for(dict.len() as u64 - 1)
-        };
-        let dict_bytes = 4 + dict.len() * 8 + 1 + PackedInts::byte_len(n, width);
-        if dict.len() <= DICT_MAX && dict_bytes < n * 8 {
-            buf.put_u8(VALUES_DICT);
-            buf.put_u32_le(dict.len() as u32);
-            for &v in &dict {
-                buf.put_f64_le(v);
+            None => {
+                self.encode_raw_v3_into(buf);
+                VALUES_RAW
             }
-            buf.put_u8(width as u8);
-            buf.put_slice(PackedInts::pack(&indices, width).as_bytes());
-        } else {
-            buf.put_u8(VALUES_RAW);
-            self.encode_raw_into(buf);
         }
     }
 
+    /// Writes the v3 value block in its raw form (tag + f64s) without
+    /// probing for a dictionary — for a caller that already knows the
+    /// codec [`Measures::encode_v3_into`] chose.
+    pub(crate) fn encode_raw_v3_into(&self, buf: &mut BytesMut) {
+        buf.put_u8(VALUES_RAW);
+        self.encode_raw_into(buf);
+    }
+
     /// The v3 value block as a fresh buffer.
-    pub(crate) fn encode_v3(&self) -> Bytes {
+    #[cfg(test)]
+    pub(crate) fn encode_v3(&self) -> bytes::Bytes {
         let mut buf = BytesMut::with_capacity(1 + self.len() * 8);
         self.encode_v3_into(&mut buf);
         buf.freeze()
@@ -279,9 +270,74 @@ impl Measures {
     }
 }
 
+/// Bit width of the packed indices of a `d`-entry dictionary.
+fn dict_index_width(d: usize) -> u32 {
+    if d == 0 {
+        0
+    } else {
+        PackedInts::width_for(d as u64 - 1)
+    }
+}
+
+/// Bytes of a dictionary values block of `n` values over `d` distinct
+/// ones: tag, count, entries, width byte, packed indices. Non-decreasing
+/// in `d`.
+fn dict_block_len(n: usize, d: usize) -> usize {
+    1 + 4 + d * 8 + 1 + PackedInts::byte_len(n, dict_index_width(d))
+}
+
+/// The dictionary (first-occurrence order) and per-value indices of
+/// `values`, or `None` when the dictionary form would not be strictly
+/// smaller than raw.
+///
+/// Values are interned by bit pattern in an open-addressing table sized
+/// up front, probed with a multiplicative hash. The probe stops as soon
+/// as the distinct count `d` reaches the break-even point
+/// `dict_block_len(n, d) >= 1 + 8n`: the block length never shrinks as
+/// `d` grows, so from there the dictionary can no longer win and the
+/// decision equals counting every distinct value first. Continuous
+/// measures therefore stop after about three quarters of the column
+/// instead of interning all of it.
+fn intern(values: &Measures) -> Option<(Vec<f64>, Vec<u64>)> {
+    const EMPTY: u32 = u32::MAX;
+    let n = values.len();
+    let raw_len = 1 + n * 8;
+    // A winning dictionary has fewer than n entries, so a table of 2n
+    // slots (rounded up to a power of two) stays at most half full.
+    let slots = (2 * n).max(2).next_power_of_two();
+    let shift = 64 - slots.trailing_zeros();
+    let mask = slots - 1;
+    let mut table = vec![EMPTY; slots];
+    let mut dict: Vec<f64> = Vec::new();
+    let mut indices: Vec<u64> = Vec::with_capacity(n);
+    for v in values.iter() {
+        let bits = v.to_bits();
+        let mut slot =
+            ((bits ^ (bits >> 29)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        let idx = loop {
+            match table[slot] {
+                EMPTY => {
+                    let idx = dict.len() as u32;
+                    table[slot] = idx;
+                    dict.push(v);
+                    if dict.len() > DICT_MAX || dict_block_len(n, dict.len()) >= raw_len {
+                        return None;
+                    }
+                    break idx;
+                }
+                i if dict[i as usize].to_bits() == bits => break i,
+                _ => slot = (slot + 1) & mask,
+            }
+        };
+        indices.push(u64::from(idx));
+    }
+    (dict_block_len(n, dict.len()) < raw_len).then_some((dict, indices))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn round_trip_v3(values: Vec<f64>) -> Measures {
         let m = Measures::Raw(values);
@@ -289,6 +345,153 @@ mod tests {
         let back = Measures::decode_v3(m.len(), &mut bytes.clone()).unwrap();
         assert_eq!(back, m);
         back
+    }
+
+    /// The codec decision the slow way: count every distinct bit pattern
+    /// first, then decide, then build the first-occurrence dictionary by
+    /// linear search.
+    fn reference_v3(values: &[f64]) -> Vec<u8> {
+        let n = values.len();
+        let mut distinct: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let d = distinct.len();
+        let width = if d == 0 {
+            0
+        } else {
+            PackedInts::width_for(d as u64 - 1)
+        };
+        let mut out = BytesMut::new();
+        if d <= DICT_MAX && 4 + d * 8 + 1 + PackedInts::byte_len(n, width) < n * 8 {
+            let mut dict: Vec<f64> = Vec::new();
+            let mut indices = Vec::new();
+            for &v in values {
+                let i = match dict.iter().position(|x| x.to_bits() == v.to_bits()) {
+                    Some(i) => i,
+                    None => {
+                        dict.push(v);
+                        dict.len() - 1
+                    }
+                };
+                indices.push(i as u64);
+            }
+            out.put_u8(VALUES_DICT);
+            out.put_u32_le(d as u32);
+            for &v in &dict {
+                out.put_f64_le(v);
+            }
+            out.put_u8(width as u8);
+            out.put_slice(PackedInts::pack(&indices, width).as_bytes());
+        } else {
+            out.put_u8(VALUES_RAW);
+            for &v in values {
+                out.put_f64_le(v);
+            }
+        }
+        out.to_vec()
+    }
+
+    /// `d` distinct values, all awkward: NaNs with different payloads and
+    /// signs, both zeros, infinities, then ordinary numbers.
+    fn distinct_pool(d: usize) -> Vec<f64> {
+        let specials = [
+            f64::from_bits(0x7ff8_0000_0000_0000),
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0000),
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut pool: Vec<f64> = specials.iter().copied().take(d).collect();
+        pool.extend((0..d.saturating_sub(specials.len())).map(|i| i as f64 * 0.25 + 1.0));
+        pool
+    }
+
+    /// `n` values over exactly `d` distinct ones, first occurrences
+    /// scattered by a stride coprime to `d`.
+    fn column(n: usize, d: usize, stride: usize) -> Vec<f64> {
+        let pool = distinct_pool(d);
+        let mut values: Vec<f64> = (0..n).map(|i| pool[(i * stride) % d]).collect();
+        // Every pool entry appears at least once.
+        values[..d].copy_from_slice(&pool);
+        values.rotate_left(n / 3);
+        values
+    }
+
+    /// Smallest distinct count at which the dictionary block is no longer
+    /// strictly smaller than raw.
+    fn break_even(n: usize) -> usize {
+        (1..=n)
+            .find(|&d| dict_block_len(n, d) > n * 8)
+            .expect("n distinct values never dictionary-code")
+    }
+
+    /// The early-exit probe chooses exactly what counting every distinct
+    /// value first would, down to the byte, at the break-even distinct
+    /// count and one either side.
+    #[test]
+    fn early_exit_codec_matches_count_then_decide() {
+        for n in [9usize, 64, 100, 777, 1500] {
+            let d0 = break_even(n);
+            for (d, want) in [
+                (d0 - 1, VALUES_DICT),
+                (d0, VALUES_RAW),
+                (d0 + 1, VALUES_RAW),
+            ] {
+                if d > n || d == 0 {
+                    continue;
+                }
+                for stride in [1usize, 7] {
+                    let stride = if d % stride == 0 { 1 } else { stride };
+                    let values = column(n, d, stride);
+                    let m = Measures::Raw(values.clone());
+                    let mut got = BytesMut::new();
+                    let tag = m.encode_v3_into(&mut got);
+                    assert_eq!(tag, want, "n={n} d={d} (break-even {d0})");
+                    assert_eq!(got[0], tag);
+                    assert_eq!(&got[..], &reference_v3(&values)[..], "n={n} d={d}");
+                    let back = Measures::decode_v3(n, &mut got.freeze()).unwrap();
+                    for (i, v) in values.iter().enumerate() {
+                        assert_eq!(back.get(i).to_bits(), v.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random columns of random cardinality agree with the reference.
+    #[test]
+    fn codec_choice_matches_reference_on_random_columns() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..200 {
+            let n = (next() % 600) as usize;
+            let d = 1 + (next() % (n as u64 + 1)) as usize;
+            let pool = distinct_pool(d);
+            let values: Vec<f64> = (0..n).map(|_| pool[(next() % d as u64) as usize]).collect();
+            let m = Measures::Raw(values.clone());
+            let mut got = BytesMut::new();
+            m.encode_v3_into(&mut got);
+            assert_eq!(&got[..], &reference_v3(&values)[..], "n={n} d={d}");
+        }
+    }
+
+    /// Re-emitting a raw block without the probe gives the same bytes.
+    #[test]
+    fn raw_reencode_skips_probe_with_identical_bytes() {
+        let m = Measures::Raw((0..300).map(|i| f64::from(i) * 0.1).collect());
+        let mut probed = BytesMut::new();
+        assert_eq!(m.encode_v3_into(&mut probed), VALUES_RAW);
+        let mut direct = BytesMut::new();
+        m.encode_raw_v3_into(&mut direct);
+        assert_eq!(probed, direct);
     }
 
     #[test]

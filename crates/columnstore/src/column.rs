@@ -221,14 +221,26 @@ impl SparseColumn {
         Ok(SparseColumn { presence, values })
     }
 
-    /// Serializes only the value block in the codec-tagged v3 form,
-    /// dictionary-coding low-cardinality measures.
-    pub fn encode_values_v3(&self) -> Bytes {
-        self.values.encode_v3()
+    /// Appends only the value block in the codec-tagged v3 form,
+    /// dictionary-coding low-cardinality measures, and returns its codec
+    /// tag (the presence bitmap is serialized separately, as in v2).
+    pub(crate) fn encode_values_v3_into(&self, buf: &mut BytesMut) -> u8 {
+        self.values.encode_v3_into(buf)
+    }
+
+    /// Appends the v3 value block in the codec `tag` that
+    /// [`SparseColumn::encode_values_v3_into`] chose before: the bytes are
+    /// the same, and a raw block skips the dictionary probe.
+    pub(crate) fn reencode_values_v3_into(&self, tag: u8, buf: &mut BytesMut) {
+        if tag == crate::codec::VALUES_RAW {
+            self.values.encode_raw_v3_into(buf);
+        } else {
+            self.values.encode_v3_into(buf);
+        }
     }
 
     /// Decodes a v3 value block written by
-    /// [`SparseColumn::encode_values_v3`]. A dictionary-coded block stays
+    /// [`SparseColumn::encode_values_v3_into`]. A dictionary-coded block stays
     /// packed in memory; [`SparseColumn::fold_over`] and
     /// [`SparseColumn::get`] read straight through the dictionary.
     pub fn decode_values_v3(

@@ -293,20 +293,12 @@ pub fn save_with_keep_format(
     let width = relation.partition_width();
     let mut nparts = 0usize;
     for (p, chunk) in relation.columns().chunks(width).enumerate() {
-        total += write_durable(
-            vfs,
-            &dir.join(part_file_name(generation, p)),
-            &encode_part(chunk, format),
-        )?;
+        total += write_part(vfs, &dir.join(part_file_name(generation, p)), chunk, format)?;
         nparts += 1;
     }
     if nparts == 0 {
         // Keep at least one (empty) partition file so open() has a fixpoint.
-        total += write_durable(
-            vfs,
-            &dir.join(part_file_name(generation, 0)),
-            &encode_part(&[], format),
-        )?;
+        total += write_part(vfs, &dir.join(part_file_name(generation, 0)), &[], format)?;
     }
 
     let (view_bitmaps, agg_views) = relation.views_parts();
@@ -400,10 +392,16 @@ pub fn collect_garbage_keeping(vfs: &dyn Vfs, dir: &Path, keep: &[u64]) -> Resul
     collect_garbage(vfs, dir, live, keep)
 }
 
-fn encode_part(chunk: &[SparseColumn], format: FormatVersion) -> Bytes {
+/// Writes and fsyncs one partition file; returns its length.
+fn write_part(
+    vfs: &dyn Vfs,
+    path: &Path,
+    chunk: &[SparseColumn],
+    format: FormatVersion,
+) -> Result<u64, StoreError> {
     match format {
-        FormatVersion::V2 => encode_part_v2(chunk),
-        FormatVersion::V3 => encode_part_v3(chunk),
+        FormatVersion::V2 => write_durable(vfs, path, &encode_part_v2(chunk)),
+        FormatVersion::V3 => write_part_v3(vfs, path, chunk),
     }
 }
 
@@ -429,10 +427,119 @@ fn encode_part_v2(chunk: &[SparseColumn]) -> Bytes {
     buf.freeze()
 }
 
+/// Payload bytes the v3 part writer hands to one [`Vfs::append`]. A
+/// batch is flushed once it reaches this size, so no single write
+/// exceeds one batch plus the largest encoded column.
+pub const PART_APPEND_BATCH: usize = 1 << 20;
+
+/// One column of a v3 part directory, as the writer's first pass
+/// measured it.
+struct PartEntry {
+    bitmap_len: u64,
+    values_len: u64,
+    bitmap_crc: u32,
+    values_crc: u32,
+    /// The values codec pass 1 chose; pass 2 re-emits it without probing.
+    values_tag: u8,
+}
+
+/// Streams one v3 part file in two passes, so the writer's memory is one
+/// append batch plus the largest encoded column instead of the file.
+///
+/// Pass 1 encodes each column into one reused buffer and keeps only the
+/// block lengths, CRCs and values codec. The directory built from those
+/// goes out with [`Vfs::write`]. Pass 2 encodes the blocks again into the
+/// same buffer and appends it every [`PART_APPEND_BATCH`] bytes; each
+/// block must match its directory entry, or the save fails before any
+/// manifest can name the file. The bytes equal a whole-file encode.
+fn write_part_v3(vfs: &dyn Vfs, path: &Path, chunk: &[SparseColumn]) -> Result<u64, StoreError> {
+    let mut buf = BytesMut::new();
+    let entries: Vec<PartEntry> = chunk
+        .iter()
+        .map(|c| {
+            buf.clear();
+            c.presence().encode_v3_into(&mut buf);
+            let (bitmap_len, bitmap_crc) = (buf.len() as u64, crc32(&buf));
+            buf.clear();
+            let values_tag = c.encode_values_v3_into(&mut buf);
+            PartEntry {
+                bitmap_len,
+                values_len: buf.len() as u64,
+                bitmap_crc,
+                values_crc: crc32(&buf),
+                values_tag,
+            }
+        })
+        .collect();
+    let header = part_header_v3(&entries);
+    vfs.write(path, &header)?;
+    let mut total = header.len() as u64;
+
+    buf.clear();
+    for (c, e) in chunk.iter().zip(&entries) {
+        let start = buf.len();
+        c.presence().encode_v3_into(&mut buf);
+        check_block(path, &buf[start..], e.bitmap_len, e.bitmap_crc)?;
+        let start = buf.len();
+        c.reencode_values_v3_into(e.values_tag, &mut buf);
+        check_block(path, &buf[start..], e.values_len, e.values_crc)?;
+        if buf.len() >= PART_APPEND_BATCH {
+            vfs.append(path, &buf)?;
+            total += buf.len() as u64;
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        vfs.append(path, &buf)?;
+        total += buf.len() as u64;
+    }
+    vfs.fsync(path)?;
+    Ok(total)
+}
+
+/// A block re-encoded by the writer's second pass must be the one its
+/// directory entry describes.
+fn check_block(path: &Path, block: &[u8], len: u64, crc: u32) -> Result<(), StoreError> {
+    if block.len() as u64 != len || crc32(block) != crc {
+        return Err(corrupt(path, "part block changed between writer passes"));
+    }
+    Ok(())
+}
+
+/// The v3 part directory: magic, column count, packed block lengths,
+/// CRC pairs and the directory CRC.
+fn part_header_v3(entries: &[PartEntry]) -> BytesMut {
+    let blens: Vec<u64> = entries.iter().map(|e| e.bitmap_len).collect();
+    let vlens: Vec<u64> = entries.iter().map(|e| e.values_len).collect();
+    let wb = PackedInts::width_for(blens.iter().copied().max().unwrap_or(0));
+    let wv = PackedInts::width_for(vlens.iter().copied().max().unwrap_or(0));
+    let mut buf = BytesMut::new();
+    buf.put_u32_le(PART_MAGIC_V3);
+    buf.put_u32_le(u32::try_from(entries.len()).expect("chunk fits u32"));
+    buf.put_u8(wb as u8);
+    buf.put_u8(wv as u8);
+    buf.put_slice(PackedInts::pack(&blens, wb).as_bytes());
+    buf.put_slice(PackedInts::pack(&vlens, wv).as_bytes());
+    for e in entries {
+        buf.put_u32_le(e.bitmap_crc);
+        buf.put_u32_le(e.values_crc);
+    }
+    let dir_crc = crc32(&buf);
+    buf.put_u32_le(dir_crc);
+    buf
+}
+
+/// The whole-file v3 part encoder the streaming writer replaced, kept as
+/// the byte-identity reference.
+#[cfg(test)]
 fn encode_part_v3(chunk: &[SparseColumn]) -> Bytes {
     let blocks: Vec<(Bytes, Bytes)> = chunk
         .iter()
-        .map(|c| (c.presence().encode_v3(), c.encode_values_v3()))
+        .map(|c| {
+            let mut values = BytesMut::new();
+            c.encode_values_v3_into(&mut values);
+            (c.presence().encode_v3(), values.freeze())
+        })
         .collect();
     let n = blocks.len();
     let max_b = blocks
@@ -848,6 +955,7 @@ mod tests {
     use crate::vfs::FaultVfs;
     use graphbi_graph::EdgeId;
     use std::fs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("graphbi-persist-{name}-{}", std::process::id()));
@@ -1072,6 +1180,171 @@ mod tests {
         assert!(names.contains(&part_file_name(g3, 0)));
         let back = load_with(&vfs, dir, Verify::Checksums).unwrap();
         assert_eq!(back.record_count(), r.record_count());
+    }
+
+    /// A relation whose columns cycle through every values shape the v3
+    /// writer distinguishes: never present (empty column), dictionary
+    /// coded (few distinct values), raw (all distinct), and sparse raw.
+    fn mixed(records: u32, n_edges: usize, width: usize) -> MasterRelation {
+        let mut b = RelationBuilder::new(n_edges);
+        for rid in 0..records {
+            let edges: Vec<(EdgeId, f64)> = (0..n_edges as u32)
+                .filter_map(|e| {
+                    let v = match e % 4 {
+                        0 => return None,
+                        1 => f64::from(rid % 5) * 1.5,
+                        2 => f64::from(rid) * 0.37 + f64::from(e),
+                        _ if rid % 3 == 0 => f64::from(rid ^ e) * -0.5,
+                        _ => return None,
+                    };
+                    Some((EdgeId(e), v))
+                })
+                .collect();
+            b.add_record(&edges);
+        }
+        b.finish_with_width(width)
+    }
+
+    /// The part files of the live generation, in partition order.
+    fn part_files(vfs: &dyn Vfs, dir: &Path, parts: usize) -> Vec<Vec<u8>> {
+        let generation = live_generation(vfs, dir).unwrap();
+        (0..parts)
+            .map(|p| vfs.read(&dir.join(part_file_name(generation, p))).unwrap())
+            .collect()
+    }
+
+    /// The streaming writer's part files are byte-identical to the
+    /// whole-file encoder it replaced, over raw, dictionary and empty
+    /// columns, an empty relation, several partitions, and a partition
+    /// spanning more than two append batches.
+    #[test]
+    fn streamed_parts_are_byte_identical_to_whole_file_encode() {
+        let big = mixed(100_000, 8, 8);
+        let fixtures = [
+            ("empty relation", RelationBuilder::new(0).finish()),
+            ("no records", RelationBuilder::new(6).finish_with_width(4)),
+            ("multi-partition", mixed(300, 40, 16)),
+            ("over two batches", big),
+        ];
+        for (name, r) in fixtures {
+            let vfs = FaultVfs::new(5);
+            let dir = Path::new("/identity");
+            save_with(&vfs, &r, &[], dir).unwrap();
+            let chunks: Vec<&[SparseColumn]> = if r.columns().is_empty() {
+                vec![&[]]
+            } else {
+                r.columns().chunks(r.partition_width()).collect()
+            };
+            let files = part_files(&vfs, dir, chunks.len());
+            for (p, (file, chunk)) in files.iter().zip(&chunks).enumerate() {
+                assert!(
+                    file[..] == encode_part_v3(chunk)[..],
+                    "{name}: part {p} differs from the reference encode"
+                );
+            }
+            if name == "over two batches" {
+                assert!(files[0].len() > 2 * PART_APPEND_BATCH, "{}", files[0].len());
+            }
+        }
+    }
+
+    /// Records the largest single `write`/`append` payload and counts
+    /// appends; everything else passes straight through.
+    struct CountingVfs {
+        inner: FaultVfs,
+        max_payload: AtomicUsize,
+        appends: AtomicUsize,
+    }
+
+    impl CountingVfs {
+        fn note(&self, data: &[u8]) {
+            self.max_payload.fetch_max(data.len(), Ordering::Relaxed);
+        }
+    }
+
+    impl Vfs for CountingVfs {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn read_range(&self, path: &Path, off: u64, len: u64) -> std::io::Result<Vec<u8>> {
+            self.inner.read_range(path, off, len)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.note(data);
+            self.inner.write(path, data)
+        }
+        fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+            self.note(data);
+            self.appends.fetch_add(1, Ordering::Relaxed);
+            self.inner.append(path, data)
+        }
+        fn fsync(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.fsync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+            self.inner.list(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn fsync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            self.inner.fsync_dir(dir)
+        }
+    }
+
+    /// The writer's memory bound, observed at the VFS: saving a partition
+    /// of more than 4 MiB never hands the filesystem a payload larger than
+    /// one append batch plus the largest encoded column.
+    #[test]
+    fn no_write_exceeds_one_batch_plus_largest_column() {
+        let r = mixed(150_000, 12, 12);
+        let vfs = CountingVfs {
+            inner: FaultVfs::new(9),
+            max_payload: Default::default(),
+            appends: Default::default(),
+        };
+        let dir = Path::new("/bounded");
+        save_with(&vfs, &r, &[], dir).unwrap();
+        let part = &part_files(&vfs, dir, 1)[0];
+        assert!(part.len() > 4 << 20, "partition is {} bytes", part.len());
+        let largest_column = r
+            .columns()
+            .iter()
+            .map(|c| c.encode_v3().len())
+            .max()
+            .unwrap();
+        let max_payload = vfs.max_payload.load(Ordering::Relaxed);
+        assert!(
+            max_payload <= PART_APPEND_BATCH + largest_column,
+            "a {max_payload}-byte payload exceeds the {}-byte bound",
+            PART_APPEND_BATCH + largest_column
+        );
+        assert!(vfs.appends.load(Ordering::Relaxed) >= 4);
+        let back = load_with(&vfs, dir, Verify::Checksums).unwrap();
+        assert_eq!(back.record_count(), r.record_count());
+    }
+
+    #[test]
+    fn block_check_rejects_length_and_crc_mismatch() {
+        let path = Path::new("/x/g000000000001-part_0000.gbi");
+        let block = b"column bytes";
+        assert!(check_block(path, block, block.len() as u64, crc32(block)).is_ok());
+        for (len, crc) in [
+            (block.len() as u64 + 1, crc32(block)),
+            (block.len() as u64, crc32(block) ^ 1),
+        ] {
+            let err = check_block(path, block, len, crc).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+        }
     }
 
     #[test]

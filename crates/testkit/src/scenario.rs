@@ -38,8 +38,20 @@ impl Scenario {
     /// range while still covering both base-graph families, both query
     /// shapes and both workload distributions.
     pub fn generate(seed: u64) -> Scenario {
+        Scenario::generate_sized(seed, None)
+    }
+
+    /// [`Scenario::generate`] with the record count fixed at `n_records`
+    /// (everything else still follows the seed) — for sweeps that need a
+    /// store whose part files span several write batches.
+    pub fn generate_with_records(seed: u64, n_records: usize) -> Scenario {
+        Scenario::generate_sized(seed, Some(n_records))
+    }
+
+    fn generate_sized(seed: u64, n_records: Option<usize>) -> Scenario {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5ce0_a11a);
-        let n_records = rng.gen_range(40..240);
+        let drawn = rng.gen_range(40..240);
+        let n_records = n_records.unwrap_or(drawn);
         let edge_domain = rng.gen_range(80..400);
         let kind = if rng.gen_bool(0.5) {
             BaseKind::RoadNetwork

@@ -7,8 +7,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use graphbi::disk::{save_store_with, DiskGraphStore};
-use graphbi::{AggFn, GraphStore, QueryRequest, Session};
-use graphbi_columnstore::{FaultVfs, FormatVersion, Verify};
+use graphbi::{AggFn, EdgeId, GraphStore, QueryRequest, Session};
+use graphbi_columnstore::persist::PART_APPEND_BATCH;
+use graphbi_columnstore::{FaultVfs, FormatVersion, Verify, Vfs};
 use graphbi_testkit::{crash, shrink_with, CrashFault, Scenario};
 
 /// The tier-1 crash smoke: several fixed seeds survive the whole
@@ -38,6 +39,55 @@ fn crash_sweep_is_clean_on_fixed_seeds() {
     assert!(
         flip_points >= 50,
         "suspiciously small flip sweep: {flip_points} flips"
+    );
+}
+
+/// A save whose part file spans several append batches. The v3 writer
+/// puts the directory down with one `write` and streams the columns with
+/// `append`s; a crash between two appends, or before the fsync, must
+/// still reopen as exactly the old or the new store.
+#[test]
+fn crash_sweep_is_clean_when_a_part_file_spans_several_appends() {
+    let full = Scenario::generate_with_records(42, 6_500);
+    // A short workload keeps the ~100 reopen-and-answer rounds cheap; old
+    // (half the records) and new still answer it differently.
+    let scenario = full.with_workload(
+        full.queries[..3].to_vec(),
+        full.exprs[..1].to_vec(),
+        full.aggs[..1].to_vec(),
+    );
+
+    // One append carries less than a batch plus the largest column, so a
+    // bigger payload needs at least two. The directory of a few hundred
+    // columns is far below the 64 KiB allowed for it here.
+    let vfs = FaultVfs::new(1);
+    let dir = PathBuf::from("/spans");
+    let store = GraphStore::load(scenario.universe.clone(), &scenario.records);
+    save_store_with(&vfs, &store, &dir).expect("save through FaultVfs");
+    let relation = store.relation();
+    let largest_column = (0..relation.edge_count() as u32)
+        .map(|e| relation.edge_column_uncounted(EdgeId(e)).encode_v3().len())
+        .max()
+        .unwrap();
+    let largest_part = vfs
+        .list(&dir)
+        .unwrap()
+        .iter()
+        .filter(|p| p.to_string_lossy().contains("-part_"))
+        .map(|p| vfs.read(p).unwrap().len())
+        .max()
+        .unwrap();
+    assert!(
+        largest_part > PART_APPEND_BATCH + largest_column + (64 << 10),
+        "part file of {largest_part} bytes may fit in one append"
+    );
+
+    let report = crash::check(&scenario, CrashFault::None);
+    assert!(
+        report.passed(),
+        "{} broken guarantees, first: {}",
+        report.failures.len(),
+        report.failures[0],
     );
 }
 

@@ -140,9 +140,12 @@ impl<T: BufMut + ?Sized> BufMut for &mut T {
 }
 
 /// Immutable shared bytes: cheap clones, zero-copy slices, consuming reads.
+///
+/// The `Arc` owns the `Vec` itself, so converting a `Vec<u8>` (and hence
+/// [`BytesMut::freeze`]) moves the allocation instead of copying it.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -216,7 +219,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -298,6 +301,11 @@ impl BytesMut {
         self.vec.is_empty()
     }
 
+    /// Empties the buffer, keeping its capacity for reuse.
+    pub fn clear(&mut self) {
+        self.vec.clear();
+    }
+
     /// Converts to immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.vec)
@@ -351,6 +359,30 @@ mod tests {
         r.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"xyz");
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    fn freeze_keeps_the_allocation() {
+        let mut w = BytesMut::with_capacity(4096);
+        w.put_slice(&[7u8; 3000]);
+        let before = w.as_ptr();
+        let frozen = w.freeze();
+        assert_eq!(frozen.as_ptr(), before, "freeze copied the buffer");
+        let v = vec![1u8, 2, 3];
+        let p = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), p, "From<Vec<u8>> copied");
+    }
+
+    #[test]
+    fn clear_keeps_capacity() {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(b"abc");
+        let p = w.as_ptr();
+        w.clear();
+        assert!(w.is_empty());
+        w.put_slice(b"de");
+        assert_eq!(w.as_ptr(), p);
+        assert_eq!(&w[..], b"de");
     }
 
     #[test]
