@@ -457,9 +457,10 @@ pub fn unpack_bits(bytes: &[u8], bit_start: usize, width: u32, out: &mut [u64]) 
 
 /// Widest packed integer the AVX2 unpacker handles: an unaligned 8-byte
 /// window shifted by up to 7 bits holds at most 57 whole values' bits, so
-/// width 56 is the safe bound. Wider packs (none of the on-disk codecs
-/// produce them — FoR deltas are ≤16 bits, dictionary indices ≤32) fall
-/// back to scalar.
+/// width 56 is the safe bound. Wider packs fall back to scalar: bitmap
+/// FoR deltas are ≤16 bits and dictionary indices ≤32, but float FoR
+/// offsets of the measure codec reach 57–64 bits when a column spans many
+/// binades.
 const UNPACK_SIMD_MAX_WIDTH: u32 = 56;
 
 /// Explicit-path variant of [`unpack_bits`].

@@ -75,9 +75,10 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn open(dir: &Path) -> Result<GraphStore, String> {
-    // A freshly-synthesized database has no views metadata; one touched by
-    // `advise` carries it as a generation-named sidecar (format v2), and
-    // load_store reattaches its views.
+    // `synth` and `advise` save the universe and view definitions as
+    // generation-named sidecars, and load_store reattaches the views. A
+    // directory written without them (an older `synth`) loads from the
+    // plain universe file and the bare relation.
     if persist::has_sidecar(&graphbi_columnstore::OsVfs, dir, "views_meta.txt") {
         graphbi::disk::load_store(dir).map_err(|e| format!("loading: {e}"))
     } else {
@@ -105,11 +106,13 @@ fn synth(args: &[String]) -> Result<(), String> {
     let d = Dataset::synthesize(&spec);
     let store = GraphStore::load(d.universe, &d.records);
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    // The plain universe file is for people and scripts; the store itself
+    // carries the universe as a sidecar, which `queryd` and `serve` need.
     store
         .universe()
         .save(&dir.join("universe.txt"))
         .map_err(|e| format!("saving universe: {e}"))?;
-    let bytes = persist::save(store.relation(), &dir).map_err(|e| format!("saving: {e}"))?;
+    let bytes = graphbi::disk::save_store(&store, &dir).map_err(|e| format!("saving: {e}"))?;
     println!(
         "wrote {} records, {} measures, {:.1} MB to {}",
         store.record_count(),
@@ -657,6 +660,35 @@ mod tests {
         assert!(run(&s(&["connect", &addr, "insert", "notanop"])).is_err());
         assert!(run(&s(&["connect", &addr, "bogus"])).is_err());
         assert!(run(&s(&["connect", &addr, "trace", "notanumber"])).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A freshly synthesized directory opens on every backend, and the disk
+    /// and MVCC stores answer exactly like the in-memory `query` path.
+    #[test]
+    fn synth_output_opens_on_disk_and_mvcc_backends() {
+        let dir = tmpdir("fresh");
+        let dirs = dir.to_string_lossy().to_string();
+        run(&s(&["synth", "ny", "500", &dirs])).unwrap();
+        run(&s(&["queryd", &dirs, "16", "[ny0,ny1]"])).unwrap();
+        let mem = open(&dir).unwrap();
+        let disk = graphbi::disk::DiskGraphStore::open(&dir, 16 << 20).unwrap();
+        let mvcc = graphbi::MvccStore::open_disk(
+            &dir,
+            16 << 20,
+            graphbi_columnstore::os_vfs(),
+            graphbi_columnstore::Verify::Checksums,
+        )
+        .unwrap();
+        for text in ["[ny0,ny1]", "SUM [ny1,ny0]", "[ny0,ny1] OR [ny1,ny0]"] {
+            let req = parse_request(text, mem.universe()).unwrap();
+            let (want, _) = graphbi::Session::execute(&mem, &req).unwrap();
+            let (got_disk, _) = graphbi::Session::execute(&disk, &req).unwrap();
+            let (got_mvcc, _) = graphbi::Session::execute(&mvcc, &req).unwrap();
+            assert_eq!(got_disk, want, "{text}: disk store");
+            assert_eq!(got_mvcc, want, "{text}: mvcc store");
+            assert!(response_len(&want) > 0, "{text}: no matching records");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -221,28 +221,31 @@ impl SparseColumn {
         Ok(SparseColumn { presence, values })
     }
 
-    /// Appends only the value block in the codec-tagged v3 form,
-    /// dictionary-coding low-cardinality measures, and returns its codec
-    /// tag (the presence bitmap is serialized separately, as in v2).
+    /// Appends only the value block in the codec-tagged v3 form (the
+    /// smallest of raw, dictionary and frame-of-reference) and returns its
+    /// codec tag (the presence bitmap is serialized separately, as in v2).
     pub(crate) fn encode_values_v3_into(&self, buf: &mut BytesMut) -> u8 {
         self.values.encode_v3_into(buf)
     }
 
     /// Appends the v3 value block in the codec `tag` that
     /// [`SparseColumn::encode_values_v3_into`] chose before: the bytes are
-    /// the same, and a raw block skips the dictionary probe.
+    /// the same, and a raw or FoR block skips the dictionary probe.
     pub(crate) fn reencode_values_v3_into(&self, tag: u8, buf: &mut BytesMut) {
-        if tag == crate::codec::VALUES_RAW {
-            self.values.encode_raw_v3_into(buf);
-        } else {
-            self.values.encode_v3_into(buf);
+        match tag {
+            crate::codec::VALUES_RAW => self.values.encode_raw_v3_into(buf),
+            crate::codec::VALUES_FOR => self.values.encode_for_v3_into(buf),
+            _ => {
+                self.values.encode_v3_into(buf);
+            }
         }
     }
 
     /// Decodes a v3 value block written by
     /// [`SparseColumn::encode_values_v3_into`]. A dictionary-coded block stays
     /// packed in memory; [`SparseColumn::fold_over`] and
-    /// [`SparseColumn::get`] read straight through the dictionary.
+    /// [`SparseColumn::get`] read straight through the dictionary. A FoR
+    /// block decodes to the raw form.
     pub fn decode_values_v3(
         presence: Bitmap,
         buf: &mut impl Buf,

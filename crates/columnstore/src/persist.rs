@@ -49,14 +49,19 @@
 //!              (bitmap_crc u32, values_crc u32) × ncols,
 //!              dir_crc u32, then per column: bitmap bytes, value bytes
 //! v3 views  := VIEWS_MAGIC_V3 u32, then the v2 views layout
+//! v3 values := tag u8 (0 raw, 1 dict, 2 FoR), payload (see [`crate::codec`])
 //! ```
 //!
 //! Format v3 (the default writer output since this version) keeps the v2
 //! directory+CRC architecture but compresses the payloads: bitmaps use
 //! the v3 container codecs (Elias-Fano, gamma runs, frame-of-reference),
-//! value blocks carry a codec tag (raw or dictionary + packed indices),
+//! value blocks carry a codec tag (raw f64s, dictionary + packed indices,
+//! or frame-of-reference over the f64 bit patterns — the smallest wins),
 //! and the part directory's block lengths are frame-of-reference
-//! bit-packed. Every data file is self-describing via its leading magic,
+//! bit-packed. Both the part files and the aggregate-view columns of the
+//! views file go through the same values codec. A reader that predates a
+//! values codec rejects its tag with a typed "unknown values codec tag"
+//! format error, never a wrong answer. Every data file is self-describing via its leading magic,
 //! so a reader handles mixed v2/v3 generations (e.g. a v2 base pinned by
 //! a snapshot while compaction publishes v3) without any manifest-level
 //! flag, and v2 stores load unchanged — backward compatibility is
@@ -530,15 +535,16 @@ fn part_header_v3(entries: &[PartEntry]) -> BytesMut {
 }
 
 /// The whole-file v3 part encoder the streaming writer replaced, kept as
-/// the byte-identity reference.
+/// the byte-identity reference. Value blocks come from the
+/// count-then-pick reference codec, not the writer's early-exit probe.
 #[cfg(test)]
 fn encode_part_v3(chunk: &[SparseColumn]) -> Bytes {
     let blocks: Vec<(Bytes, Bytes)> = chunk
         .iter()
         .map(|c| {
-            let mut values = BytesMut::new();
-            c.encode_values_v3_into(&mut values);
-            (c.presence().encode_v3(), values.freeze())
+            let values: Vec<f64> = c.iter().map(|(_, v)| v).collect();
+            let values = crate::codec::reference_values_v3(&values);
+            (c.presence().encode_v3(), Bytes::from(values))
         })
         .collect();
     let n = blocks.len();
@@ -1184,7 +1190,8 @@ mod tests {
 
     /// A relation whose columns cycle through every values shape the v3
     /// writer distinguishes: never present (empty column), dictionary
-    /// coded (few distinct values), raw (all distinct), and sparse raw.
+    /// coded (few distinct values), FoR (all distinct, one sign), and
+    /// sparse raw (all distinct, both signs).
     fn mixed(records: u32, n_edges: usize, width: usize) -> MasterRelation {
         let mut b = RelationBuilder::new(n_edges);
         for rid in 0..records {
@@ -1194,7 +1201,7 @@ mod tests {
                         0 => return None,
                         1 => f64::from(rid % 5) * 1.5,
                         2 => f64::from(rid) * 0.37 + f64::from(e),
-                        _ if rid % 3 == 0 => f64::from(rid ^ e) * -0.5,
+                        _ if rid % 3 == 0 => (f64::from(rid ^ e) - 100.0) * 0.5,
                         _ => return None,
                     };
                     Some((EdgeId(e), v))
@@ -1214,12 +1221,12 @@ mod tests {
     }
 
     /// The streaming writer's part files are byte-identical to the
-    /// whole-file encoder it replaced, over raw, dictionary and empty
+    /// whole-file encoder it replaced, over raw, dictionary, FoR and empty
     /// columns, an empty relation, several partitions, and a partition
     /// spanning more than two append batches.
     #[test]
     fn streamed_parts_are_byte_identical_to_whole_file_encode() {
-        let big = mixed(100_000, 8, 8);
+        let big = mixed(110_000, 8, 8);
         let fixtures = [
             ("empty relation", RelationBuilder::new(0).finish()),
             ("no records", RelationBuilder::new(6).finish_with_width(4)),

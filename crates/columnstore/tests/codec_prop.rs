@@ -4,10 +4,14 @@
 //! to the raw path. No tolerance anywhere: compression is a storage
 //! transform, not an approximation.
 
+use bytes::Bytes;
 use graphbi_bitmap::intcodec::EliasFano;
 use graphbi_bitmap::Bitmap;
-use graphbi_columnstore::codec::gallop_intersect;
+use graphbi_columnstore::codec::{
+    gallop_intersect, PackedInts, VALUES_DICT, VALUES_FOR, VALUES_RAW,
+};
 use graphbi_columnstore::{ColumnBuilder, SparseColumn};
+use proptest::prelude::*;
 
 /// Deterministic xorshift64* — fixed-seed adversarial inputs, no flaky
 /// randomness.
@@ -304,6 +308,273 @@ fn column_v3_rejects_every_truncation() {
                 // (possible only when trailing bytes were going unread).
                 assert_eq!(back, c, "{name}: truncation at {cut} parsed differently");
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Values codec choice and the frame-of-reference form (tag 2).
+
+/// The v3 values block of `values` as the writer emits it: the column
+/// over records `0..n`, encoded, with its presence bitmap stripped.
+fn values_block(values: &[f64]) -> Vec<u8> {
+    let presence: Bitmap = (0..values.len() as u32).collect();
+    let skip = presence.encode_v3().len();
+    SparseColumn::from_parts(presence, values.to_vec()).encode_v3()[skip..].to_vec()
+}
+
+/// Decodes a values block of `n` values, as bit patterns.
+fn decode_block(n: usize, block: &[u8]) -> Result<Vec<u64>, String> {
+    let presence: Bitmap = (0..n as u32).collect();
+    let col = SparseColumn::decode_values_v3(presence, &mut Bytes::from(block.to_vec()))
+        .map_err(|e| e.to_string())?;
+    Ok(col.iter().map(|(_, v)| v.to_bits()).collect())
+}
+
+/// The FoR block of `values`: tag, smallest bit pattern, width, packed
+/// offsets.
+fn for_block(values: &[f64]) -> Vec<u8> {
+    let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+    let base = bits.iter().copied().min().unwrap_or(0);
+    let width = PackedInts::width_for(bits.iter().map(|b| b - base).max().unwrap_or(0));
+    let offsets: Vec<u64> = bits.iter().map(|b| b - base).collect();
+    let mut out = vec![VALUES_FOR];
+    out.extend_from_slice(&base.to_le_bytes());
+    out.push(width as u8);
+    out.extend_from_slice(PackedInts::pack(&offsets, width).as_bytes());
+    out
+}
+
+/// The codec choice counted the slow way: build all three blocks in full
+/// and keep the shortest, ties going raw, then dict, then FoR.
+fn reference_block(values: &[f64]) -> Vec<u8> {
+    let mut raw = vec![VALUES_RAW];
+    for v in values {
+        raw.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut dict: Vec<u64> = Vec::new();
+    let mut indices = Vec::new();
+    for v in values {
+        let b = v.to_bits();
+        let i = dict.iter().position(|&x| x == b).unwrap_or_else(|| {
+            dict.push(b);
+            dict.len() - 1
+        });
+        indices.push(i as u64);
+    }
+    let width = PackedInts::width_for(dict.len().saturating_sub(1) as u64);
+    let mut dict_block = vec![VALUES_DICT];
+    dict_block.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+    for b in &dict {
+        dict_block.extend_from_slice(&b.to_le_bytes());
+    }
+    dict_block.push(width as u8);
+    dict_block.extend_from_slice(PackedInts::pack(&indices, width).as_bytes());
+    let mut best = raw;
+    for candidate in [dict_block, for_block(values)] {
+        if candidate.len() < best.len() {
+            best = candidate;
+        }
+    }
+    best
+}
+
+/// Columns the FoR form must carry bit-exactly, each of one sign.
+fn for_corpus() -> Vec<(&'static str, Vec<f64>)> {
+    let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+    let neg_nan = |payload: u64| f64::from_bits(0xfff8_0000_0000_0000 | payload);
+    vec![
+        ("nan-payloads", (1..40).map(nan).collect()),
+        ("negative-nan-payloads", (1..40).map(neg_nan).collect()),
+        (
+            "positive-zero-and-up",
+            (0..40).map(|i| f64::from(i) * 1e-3).collect(),
+        ),
+        (
+            "negative-zero-and-down",
+            (0..40).map(|i| f64::from(i) * -1e-3).collect(),
+        ),
+        (
+            "positive-infinity",
+            (0..40)
+                .map(|i| {
+                    if i % 9 == 0 {
+                        f64::INFINITY
+                    } else {
+                        1e300 * f64::from(i)
+                    }
+                })
+                .collect(),
+        ),
+        (
+            "negative-infinity",
+            (0..40)
+                .map(|i| {
+                    if i % 9 == 0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        -1e300 * f64::from(i)
+                    }
+                })
+                .collect(),
+        ),
+        (
+            "subnormals",
+            (1..60u64).map(|i| f64::from_bits(i * 7_919)).collect(),
+        ),
+        (
+            "all-negative",
+            (0..500).map(|i| -0.5 - f64::from(i) * 0.0213).collect(),
+        ),
+        ("constant", vec![3.25; 64]),
+        ("uniform-0.5-10.5", {
+            let mut rng = Rng(0xf0f0);
+            (0..1_000)
+                .map(|_| 0.5 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 10.0)
+                .collect()
+        }),
+    ]
+}
+
+/// Tag 2 round-trips every awkward value bit-identically, including a
+/// constant column (width 0); blocks of 0 and 1 values, which the writer
+/// never emits as FoR, still decode.
+#[test]
+fn for_round_trips_bit_exactly() {
+    for (name, values) in for_corpus() {
+        let block = values_block(&values);
+        assert_eq!(block[0], VALUES_FOR, "{name}: codec");
+        if name == "constant" {
+            assert_eq!(block[9], 0, "constant column packs at width 0");
+            assert_eq!(block.len(), 10);
+        }
+        let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(decode_block(values.len(), &block).unwrap(), want, "{name}");
+    }
+    for values in [
+        vec![],
+        vec![-0.0],
+        vec![f64::from_bits(0x7ff8_0000_0000_0abc)],
+    ] {
+        let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(values_block(&values)[0], VALUES_RAW, "n = {}", values.len());
+        let block = for_block(&values);
+        assert_eq!(decode_block(values.len(), &block).unwrap(), want);
+    }
+}
+
+/// Continuous columns that mix signs span the whole bit-pattern range, so
+/// FoR never beats raw on them.
+#[test]
+fn mixed_sign_columns_stay_raw() {
+    let mut rng = Rng(0x519e);
+    for n in [2usize, 3, 10, 100, 1_000] {
+        let values: Vec<f64> = (0..n)
+            .map(|i| {
+                let v = 1.0 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+                if i % 2 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect();
+        let block = values_block(&values);
+        assert_eq!(block[0], VALUES_RAW, "n = {n}");
+        assert_eq!(block.len(), 1 + 8 * n);
+    }
+}
+
+/// The writer's choice equals the count-everything-then-pick reference on
+/// random columns and on columns at the dict/raw and dict/FoR break-even
+/// points.
+#[test]
+fn codec_choice_equals_count_then_pick_reference() {
+    let mut rng = Rng(0xc0dec);
+    let mut columns: Vec<Vec<f64>> = Vec::new();
+    for round in 0..300 {
+        let n = rng.below(700) as usize;
+        let d = 1 + rng.below(n as u64 + 1) as usize;
+        let scale = (1u64 << rng.below(30)) as f64;
+        let pool: Vec<f64> = (0..d)
+            .map(|_| {
+                let v = 0.5 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * scale;
+                match round % 4 {
+                    0 => v,
+                    1 => -v,
+                    2 if rng.below(2) == 0 => -v,
+                    _ => (v * 4.0).round() / 4.0,
+                }
+            })
+            .collect();
+        columns.push((0..n).map(|_| pool[rng.below(d as u64) as usize]).collect());
+    }
+    // Break-even columns: for each size, every distinct count from two
+    // below the point where the dictionary stops winning to one above.
+    // One-sign pools lose to FoR there, mixed-sign pools to raw.
+    let sizes = [16usize, 64, 300, 1_000];
+    let shapes = [(1.0, 1.9375), (-1.0, 1.9375), (1.0, -1.9375)];
+    for (n, (sign, second)) in sizes.into_iter().flat_map(|n| shapes.map(|s| (n, s))) {
+        let column = |d: usize| -> Vec<f64> {
+            let mut pool = vec![1.0, second];
+            pool.extend((1..d.saturating_sub(1)).map(|i| 1.0 + i as f64 / f64::from(1 << 20)));
+            pool.truncate(d);
+            (0..n).map(|i| sign * pool[i % d]).collect()
+        };
+        let flip = (2..=n)
+            .find(|&d| reference_block(&column(d))[0] != VALUES_DICT)
+            .unwrap_or(n);
+        for d in flip.saturating_sub(2).max(1)..=(flip + 1).min(n) {
+            columns.push(column(d));
+        }
+    }
+    for values in columns {
+        let (got, want) = (values_block(&values), reference_block(&values));
+        assert_eq!(got, want, "n = {}", values.len());
+        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(decode_block(values.len(), &got).unwrap(), bits);
+    }
+}
+
+/// Truncated FoR blocks, widths beyond 64 bits and offsets that overflow
+/// past `base` are typed errors.
+#[test]
+fn corrupt_for_blocks_are_errors() {
+    let values: Vec<f64> = (0..200).map(|i| 2.0 + f64::from(i) * 0.37).collect();
+    let block = values_block(&values);
+    assert_eq!(block[0], VALUES_FOR);
+    for cut in 0..block.len() {
+        assert!(decode_block(200, &block[..cut]).is_err(), "cut at {cut}");
+    }
+    for width in [65u8, 100, 255] {
+        let mut wide = block.clone();
+        wide[9] = width;
+        wide.resize(10 + 200 * 32, 0xff);
+        assert!(decode_block(200, &wide).is_err(), "width {width}");
+    }
+    let mut overflow = vec![VALUES_FOR];
+    overflow.extend_from_slice(&(u64::MAX - 5).to_le_bytes());
+    overflow.push(4);
+    overflow.push(0x65); // offsets 5 then 6
+    assert!(decode_block(2, &overflow).is_err());
+    overflow[10] = 0x55; // offsets 5 and 5 reach u64::MAX exactly
+    assert_eq!(decode_block(2, &overflow).unwrap(), [u64::MAX, u64::MAX]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes behind tag 2 decode to something or error, never
+    /// panic.
+    #[test]
+    fn arbitrary_for_payloads_never_panic(
+        payload in prop::collection::vec(any::<u8>(), 0..300),
+        n in 0usize..80,
+    ) {
+        let mut block = vec![VALUES_FOR];
+        block.extend_from_slice(&payload);
+        if let Ok(values) = decode_block(n, &block) {
+            prop_assert_eq!(values.len(), n);
         }
     }
 }

@@ -88,6 +88,10 @@ pub struct CrashReport {
     pub crash_points: u64,
     /// Corruption-at-rest experiments run (individual byte flips).
     pub flip_points: u64,
+    /// Value blocks of the flipped store's part files per v3 codec tag
+    /// (raw, dict, FoR) — which decoders the flip sweep exercised. Zero
+    /// for a v2 store, whose value blocks carry no tag.
+    pub values_codecs: [u64; 3],
 }
 
 impl CrashReport {
@@ -231,6 +235,9 @@ pub fn check_format(scenario: &Scenario, fault: CrashFault, format: FormatVersio
     // Phase 2: corruption at rest. Flip one durable byte of the published
     // store per experiment; reopening + querying must either surface a
     // typed corruption error or answer exactly like the intact store.
+    if format == FormatVersion::V3 {
+        report.values_codecs = values_codecs(&clean, &dir);
+    }
     for (path, offset) in flip_targets(&clean, &dir) {
         report.flip_points += 1;
         let name = path
@@ -442,9 +449,23 @@ pub fn check_wal(scenario: &Scenario, fault: CrashFault) -> CrashReport {
         }
     }
 
+    // The log under the flip sweep must be in the compact record layout
+    // the writer emits (op tags 2 and 3), so replay decodes what a live
+    // store writes today.
+    let wal_path = dir.join(graphbi_columnstore::wal::WAL_FILE);
+    let tags = walful
+        .read(&wal_path)
+        .map(|b| first_op_tags(&b))
+        .unwrap_or_default();
+    if tags.iter().any(|t| !matches!(t, 2 | 3)) {
+        report.fail(
+            "wal layout".into(),
+            format!("frames open with op tags {tags:?}, not the compact layout 2/3"),
+        );
+    }
+
     // Phase 2a: flip durable WAL bytes at rest. Frame CRCs must roll
     // replay back to a commit boundary — silently, never a torn state.
-    let wal_path = dir.join(graphbi_columnstore::wal::WAL_FILE);
     let wal_bytes = walful.read(&wal_path).map(|b| b.len()).unwrap_or(0);
     for offset in sampled_offsets(wal_bytes, 96) {
         report.flip_points += 1;
@@ -624,7 +645,7 @@ fn answers<S: Session>(
 /// [dir_crc][payloads]`). For a v3 file the first values byte is the codec
 /// tag — flipping it must surface as a *typed* error even with checksums
 /// off — so each column also gets an interior flip (mid-payload, inside a
-/// raw f64 or the dictionary) that stays silent under
+/// raw f64, the dictionary or the packed FoR offsets) that stays silent under
 /// [`Verify::TrustDisk`]: the `DropCrc` bait the teeth test needs.
 fn flip_targets(vfs: &FaultVfs, dir: &Path) -> Vec<(PathBuf, usize)> {
     /// Values-payload flips per partition file — enough that several land
@@ -660,8 +681,8 @@ fn flip_targets(vfs: &FaultVfs, dir: &Path) -> Vec<(PathBuf, usize)> {
                     out.push((path.clone(), off + bitmap_len));
                     flips += 1;
                     // An interior byte of the values payload: inside a raw
-                    // f64 (or the dictionary) where no structural check
-                    // can notice — only the CRC stands between this flip
+                    // f64, the dictionary or the FoR offsets, where no
+                    // structural check can notice — only the CRC stands between this flip
                     // and a silently wrong measure.
                     let interior = off + bitmap_len + (values_len / 2).max(1);
                     if c % 2 == 0 && values_len > 1 && interior < bytes.len() {
@@ -678,6 +699,52 @@ fn flip_targets(vfs: &FaultVfs, dir: &Path) -> Vec<(PathBuf, usize)> {
         }
     }
     out
+}
+
+/// The tag of the first op of every WAL frame that has one: frame header
+/// (magic, length, CRC; 12 bytes), then epoch u64 and op count u32.
+fn first_op_tags(log: &[u8]) -> Vec<u8> {
+    let mut tags = Vec::new();
+    let mut at = 0usize;
+    while let Some(len) = log.get(at + 4..at + 8) {
+        let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+        let payload = log.get(at + 12..at + 12 + len).unwrap_or_default();
+        if payload.get(8..12).is_some_and(|n| n != [0; 4]) {
+            tags.extend(payload.get(12).copied());
+        }
+        at += 12 + len;
+    }
+    tags
+}
+
+/// Value blocks holding at least one value, per v3 codec tag (raw, dict,
+/// FoR), over the part files of a v3 store.
+fn values_codecs(vfs: &FaultVfs, dir: &Path) -> [u64; 3] {
+    let mut counts = [0u64; 3];
+    for path in vfs.list(dir).unwrap_or_default() {
+        if !path.to_string_lossy().contains("-part_") {
+            continue;
+        }
+        let Ok(bytes) = vfs.read(&path) else { continue };
+        let Some((mut off, lens)) = parse_part_header(&bytes) else {
+            continue;
+        };
+        for (bitmap_len, values_len) in lens {
+            // A block of just the tag byte holds no values; skip it.
+            if values_len < 2 {
+                off += bitmap_len + values_len;
+                continue;
+            }
+            if let Some(slot) = bytes
+                .get(off + bitmap_len)
+                .and_then(|&tag| counts.get_mut(usize::from(tag)))
+            {
+                *slot += 1;
+            }
+            off += bitmap_len + values_len;
+        }
+    }
+    counts
 }
 
 /// Parses either partition-file header, returning the payload start offset

@@ -6,7 +6,7 @@
 //! `u64` seed, so any failure replays from its seed alone.
 
 use graphbi::{AggFn, GraphQuery, PathAggQuery, QueryExpr, Universe};
-use graphbi_graph::GraphRecord;
+use graphbi_graph::{GraphRecord, RecordBuilder};
 use graphbi_workload::queries::{QueryDistribution, QueryShapeKind, QuerySpec};
 use graphbi_workload::{BaseKind, Dataset, DatasetSpec};
 use rand::rngs::StdRng;
@@ -120,7 +120,7 @@ impl Scenario {
         Scenario {
             seed,
             universe: dataset.universe,
-            records: dataset.records,
+            records: dataset.records.iter().map(quantize_every_third).collect(),
             queries,
             exprs,
             aggs,
@@ -168,6 +168,25 @@ impl Scenario {
     pub fn workload_len(&self) -> usize {
         self.queries.len() + self.exprs.len() + self.aggs.len()
     }
+}
+
+/// The record with the measure of every third edge id rounded to a half
+/// unit, like a price: those columns draw from a few distinct values and
+/// dictionary-code on disk, next to the continuous ones (FoR or raw), so
+/// every scenario store exercises all three value decoders.
+fn quantize_every_third(record: &GraphRecord) -> GraphRecord {
+    let mut b = RecordBuilder::with_capacity(record.edges().len());
+    for &(e, m) in record.edges() {
+        b.add(
+            e,
+            if e.0 % 3 == 0 {
+                (m * 2.0).round() / 2.0
+            } else {
+                m
+            },
+        );
+    }
+    b.build()
 }
 
 /// A random AND/OR/ANDNOT tree of depth ≤ 2 over the scenario's queries.

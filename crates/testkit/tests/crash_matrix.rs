@@ -29,6 +29,13 @@ fn crash_sweep_is_clean_on_fixed_seeds() {
             report.failures.len(),
             report.failures[0],
         );
+        // The flipped store holds value blocks of every codec, so the
+        // flips reach the raw, dictionary and FoR decoders alike.
+        assert!(
+            report.values_codecs.iter().all(|&n| n > 0),
+            "seed {seed}: value blocks per codec (raw, dict, FoR): {:?}",
+            report.values_codecs,
+        );
         crash_points += report.crash_points;
         flip_points += report.flip_points;
     }
@@ -48,7 +55,7 @@ fn crash_sweep_is_clean_on_fixed_seeds() {
 /// still reopen as exactly the old or the new store.
 #[test]
 fn crash_sweep_is_clean_when_a_part_file_spans_several_appends() {
-    let full = Scenario::generate_with_records(42, 6_500);
+    let full = Scenario::generate_with_records(42, 8_500);
     // A short workload keeps the ~100 reopen-and-answer rounds cheap; old
     // (half the records) and new still answer it differently.
     let scenario = full.with_workload(

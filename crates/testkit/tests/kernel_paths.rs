@@ -10,7 +10,9 @@
 //! variants instead and never touch the global).
 
 use graphbi::kernels::{self, KernelPath};
-use graphbi::{GraphStore, QueryRequest, Session};
+use graphbi::{Bitmap, GraphStore, QueryRequest, Session};
+use graphbi_columnstore::codec::VALUES_FOR;
+use graphbi_columnstore::SparseColumn;
 use graphbi_testkit::{check, Fault, Scenario};
 
 #[test]
@@ -53,7 +55,47 @@ fn oracle_and_answers_identical_under_forced_paths() {
     }
     assert!(compared >= 3, "too few queries compared: {compared}");
 
-    // 3) Forcing SIMD on a machine without it must degrade to scalar, not
+    // 3) Float frame-of-reference value blocks decode bit-identically on
+    //    both paths at widths either side of the AVX2 unpacker's 56-bit
+    //    limit (wider blocks take the scalar unpacker on the SIMD path).
+    for width in [1u32, 54, 55, 56, 57, 63] {
+        let n = 301u32;
+        let presence: Bitmap = (0..n).collect();
+        // Distinct offsets scattered over `width` bits, one of them the
+        // widest, above the smallest normal bit pattern.
+        let span = (1u64 << width) - 1;
+        let values: Vec<f64> = (0..u64::from(n))
+            .map(|i| {
+                let offset = if i == 1 {
+                    span
+                } else {
+                    i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & span
+                };
+                f64::from_bits(0x0010_0000_0000_0000 + offset)
+            })
+            .collect();
+        let skip = presence.encode_v3().len();
+        let bytes = SparseColumn::from_parts(presence.clone(), values.clone()).encode_v3();
+        assert_eq!(bytes[skip], VALUES_FOR, "width {width}: codec");
+        assert_eq!(
+            u32::from(bytes[skip + 9]),
+            width,
+            "width {width}: packed width"
+        );
+        let mut decoded = Vec::new();
+        for path in [KernelPath::Scalar, KernelPath::Simd] {
+            kernels::force(Some(path));
+            let mut block = bytes.slice(skip..);
+            let col = SparseColumn::decode_values_v3(presence.clone(), &mut block)
+                .expect("FoR block decodes");
+            decoded.push(col.iter().map(|(_, v)| v.to_bits()).collect::<Vec<u64>>());
+        }
+        let want: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(decoded[0], want, "width {width}: scalar decode");
+        assert_eq!(decoded[1], want, "width {width}: simd decode");
+    }
+
+    // 4) Forcing SIMD on a machine without it must degrade to scalar, not
     //    crash; the answers above already proved it stays correct.
     if !kernels::simd_available() {
         assert_eq!(kernels::active(), KernelPath::Scalar);
